@@ -59,6 +59,8 @@ from repro.core.predicates import (
     WRITE,
     shared_registry,
 )
+from repro.util.naming import location_name
+
 #: Read-from source index standing for "reads the initial value".
 INITIAL = -1
 
@@ -92,68 +94,145 @@ class IndexedExecution:
     ``thread_of``, ``location_of``, ``stores_at``, ``rf_candidates`` and
     ``coherence_orders_at``; the ``same_thread`` / ``same_location`` masks
     round out the relation view for predicate-style consumers and tests.
+
+    Two constructors fill the same fields: ``IndexedExecution(execution)``
+    from an evaluated :class:`~repro.core.execution.Execution`, and
+    :meth:`from_items` straight from the enumeration's abstract item tuples
+    (the adaptive pipeline's checked-test path), which builds ``events`` and
+    ``execution`` only if a consumer asks for them.
     """
 
     def __init__(self, execution: Execution) -> None:
-        self.execution = execution
-        self.events: List[Event] = list(execution.events)
-        self.n = len(self.events)
+        self._execution: Optional[Execution] = execution
+        self._events: Optional[List[Event]] = list(execution.events)
+        self._items: Optional[tuple] = None
+        self._name = ""
+        # One pass over the events: thread sizes (``events`` is thread-major,
+        # so each thread's indices are a consecutive range), locations and
+        # values — the shapes the shared indexing pass below consumes.
+        exec_location_of = execution.location_of
+        exec_value_of = execution.value_of
+        location_of: List[Optional[str]] = []
+        values: List[Optional[int]] = []
+        reads: List[bool] = []
+        for event in self._events:
+            if event.is_memory_access:
+                location_of.append(exec_location_of(event))
+                values.append(exec_value_of(event))
+                reads.append(event.is_read)
+            else:
+                location_of.append(None)
+                values.append(None)
+                reads.append(False)
+        self._index(
+            [len(thread) for thread in execution.events_by_thread],
+            location_of, values, reads, execution.initial_value,
+        )
+
+    @classmethod
+    def from_items(
+        cls, items: Tuple[Tuple[Tuple[str, object, object], ...], ...], name: str = ""
+    ) -> "IndexedExecution":
+        """Index an enumerated test straight from its abstract items.
+
+        ``items`` are per-thread ``(kind, location index, value)`` tuples as
+        :func:`~repro.generation.enumeration.enumerate_raw_naive_items`
+        yields them.  The index fields equal those built from
+        ``test_from_items(items, name).execution()``; ``events`` and
+        ``execution`` are materialised through that path on first access.
+        """
+        self = cls.__new__(cls)
+        self._execution = None
+        self._events = None
+        self._items = items
+        self._name = name
+        location_of: List[Optional[str]] = []
+        values: List[Optional[int]] = []
+        reads: List[bool] = []
+        for thread in items:
+            for kind, location, value in thread:
+                if kind == "F":
+                    location_of.append(None)
+                    values.append(None)
+                    reads.append(False)
+                else:
+                    location_of.append(location_name(int(location)))
+                    values.append(int(value))
+                    reads.append(kind == "R")
+        # Enumerated tests start every location at 0.
+        self._index(
+            [len(thread) for thread in items], location_of, values, reads,
+            lambda location: 0,
+        )
+        return self
+
+    def _index(
+        self,
+        thread_sizes: Sequence[int],
+        location_of: List[Optional[str]],
+        values: List[Optional[int]],
+        reads: List[bool],
+        initial_value,
+    ) -> None:
+        """Fill every index field from per-event locations/values/read flags
+        (``None`` location = not a memory access) in thread-major order."""
+        self.n = n = len(location_of)
         # Event -> index table, built lazily (hashing events recurses through
         # their instruction dataclasses; internal construction only needs
         # positions, since ``events`` is thread-major).
         self._index_of: Optional[Dict[Event, int]] = None
-        self.thread_of: List[int] = [event.thread_index for event in self.events]
 
         #: bit ``j`` of ``po_before[i]``: event j is program-order-before event i
-        self.po_before: List[int] = [0] * self.n
+        self.po_before: List[int] = [0] * n
         #: bit ``j`` of ``same_thread[i]``: events i and j share a thread
-        self.same_thread: List[int] = [0] * self.n
+        self.same_thread: List[int] = [0] * n
+        self.thread_of: List[int] = [0] * n
         # program-order position within the event's thread (monotone in
         # ``Event.index``, so it orders same-thread events identically)
-        self._pos_in_thread: List[int] = [0] * self.n
-        # events_by_thread lists each thread's events in program order and
-        # ``events`` flattens it thread-major, so each thread's indices are
-        # the consecutive range and one linear pass replaces the all-pairs
-        # scan (and any per-event dict lookups).
+        self._pos_in_thread: List[int] = [0] * n
+        # Same-thread program-order pairs in the order program_order_edges()
+        # visits them: per thread, (earlier, later) with earlier first.
+        pairs: List[IndexEdge] = []
         offset = 0
-        for thread_events in execution.events_by_thread:
-            indices = range(offset, offset + len(thread_events))
-            offset += len(thread_events)
-            thread_mask = 0
-            for i in indices:
-                thread_mask |= 1 << i
+        for thread, size in enumerate(thread_sizes):
+            end = offset + size
+            thread_mask = (1 << end) - (1 << offset)
             before = 0
-            for position, i in enumerate(indices):
+            for position in range(size):
+                i = offset + position
                 bit = 1 << i
+                self.thread_of[i] = thread
                 self.same_thread[i] = thread_mask & ~bit
                 self.po_before[i] = before
                 self._pos_in_thread[i] = position
                 before |= bit
+                for v in range(i + 1, end):
+                    pairs.append((i, v))
+            offset = end
+        self.po_pairs: Tuple[IndexEdge, ...] = tuple(pairs)
+        self.all_pairs_mask = (1 << len(pairs)) - 1
 
-        # One pass fills the load/store indices, the locations in first-use
-        # order, the per-location store indices and the location table —
-        # the same shapes execution.locations()/stores_to() would produce,
-        # without their per-call event-dict traversals.
+        # The load/store indices, the locations in first-use order and the
+        # per-location store indices — the same shapes
+        # execution.locations()/stores_to() would produce.
         loads: List[int] = []
         stores: List[int] = []
         locations: List[str] = []
         stores_by_location: Dict[str, List[int]] = {}
-        location_of: List[Optional[str]] = []
-        exec_location_of = execution.location_of
-        for i, event in enumerate(self.events):
-            if event.is_memory_access:
-                location = exec_location_of(event)
-                location_of.append(location)
-                if location not in stores_by_location:
-                    locations.append(location)
-                    stores_by_location[location] = []
-                if event.is_read:
-                    loads.append(i)
-                else:
-                    stores.append(i)
-                    stores_by_location[location].append(i)
+        members_of: Dict[str, int] = {}
+        for i, location in enumerate(location_of):
+            if location is None:
+                continue
+            if location not in stores_by_location:
+                locations.append(location)
+                stores_by_location[location] = []
+                members_of[location] = 0
+            members_of[location] |= 1 << i
+            if reads[i]:
+                loads.append(i)
             else:
-                location_of.append(None)
+                stores.append(i)
+                stores_by_location[location].append(i)
         #: load event indices, in event order
         self.loads: Tuple[int, ...] = tuple(loads)
         #: store event indices, in event order
@@ -165,37 +244,26 @@ class IndexedExecution:
         }
         self.location_of: List[Optional[str]] = location_of
         #: bit ``j`` of ``same_location[i]``: j accesses the same location as i
-        self.same_location: List[int] = [0] * self.n
-        members_of: Dict[str, List[int]] = {}
-        for i, location in enumerate(self.location_of):
-            if location is not None:
-                members_of.setdefault(location, []).append(i)
-        for members in members_of.values():
-            mask = 0
-            for i in members:
-                mask |= 1 << i
-            for i in members:
-                self.same_location[i] = mask & ~(1 << i)
+        self.same_location: List[int] = [
+            0 if location is None else members_of[location] & ~(1 << i)
+            for i, location in enumerate(location_of)
+        ]
 
         #: per-load read-from candidates as indices (``INITIAL`` = initial value)
         # Index-level twin of relations.read_from_candidates (differentially
         # tested against it): INITIAL first when the observed value matches
         # the initial one, then matching-value stores in stores_to order,
         # skipping program-order-later same-thread stores.
-        values: List[Optional[int]] = [
-            execution.value_of(event) if event.is_memory_access else None
-            for event in self.events
-        ]
         thread_of = self.thread_of
         pos_in_thread = self._pos_in_thread
         rf: List[Tuple[int, ...]] = []
         for load in self.loads:
-            location = self.location_of[load]
+            location = location_of[load]
             value = values[load]
             thread = thread_of[load]
             position = pos_in_thread[load]
             candidates: List[int] = []
-            if value == execution.initial_value(location):
+            if value == initial_value(location):
                 candidates.append(INITIAL)
             for store in self.stores_at[location]:
                 if values[store] == value and not (
@@ -211,24 +279,28 @@ class IndexedExecution:
         # candidate outcomes) never pay for materialising the store orders.
         self._coherence_orders_at: Optional[Dict[str, Tuple[Tuple[int, ...], ...]]] = None
 
-        # Same-thread program-order pairs in the order program_order_edges()
-        # visits them: per thread, (earlier, later) with earlier first.
-        pairs: List[IndexEdge] = []
-        offset = 0
-        for thread_events in execution.events_by_thread:
-            end = offset + len(thread_events)
-            for u in range(offset, end):
-                for v in range(u + 1, end):
-                    pairs.append((u, v))
-            offset = end
-        self.po_pairs: Tuple[IndexEdge, ...] = tuple(pairs)
-        self.all_pairs_mask = (1 << len(pairs)) - 1
-
         self._atom_masks: Dict[Tuple[Predicate, Tuple[str, ...]], int] = {}
         # Per-execution masks of hash-consed ModelIR nodes, keyed by
         # node id (see repro.compile.lower_masks); subtrees shared across
         # a model space evaluate once per execution.
         self._node_masks: Dict[int, int] = {}
+
+    @property
+    def execution(self) -> Execution:
+        """The evaluated execution (built on first use for :meth:`from_items`)."""
+        if self._execution is None:
+            from repro.generation.enumeration import test_from_items
+
+            assert self._items is not None
+            self._execution = test_from_items(self._items, self._name).execution()
+        return self._execution
+
+    @property
+    def events(self) -> List[Event]:
+        """The events in index order (thread-major)."""
+        if self._events is None:
+            self._events = list(self.execution.events)
+        return self._events
 
     @property
     def index_of(self) -> Dict[Event, int]:

@@ -31,11 +31,12 @@ from repro.compile import CompiledModel, compile_model
 from repro.core.litmus import LitmusTest
 from repro.core.model import MemoryModel
 from repro.engine.context import TestContext
-from repro.engine.strategies import CheckStrategy, make_strategy
+from repro.engine.strategies import CheckStrategy, make_strategy, mask_verdicts
 from repro.util import faults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from repro.cache.verdict import VerdictCache
+    from repro.checker.kernel import IndexedExecution
 
 #: One model's verdicts over a test suite, in suite order.
 VerdictVector = Tuple[bool, ...]
@@ -504,6 +505,38 @@ class CheckEngine:
                 with self.lock:
                     self.stats.verdict_cache_persisted += persisted
         return column
+
+    def check_mask_groups(
+        self, indexed: "IndexedExecution", groups: Dict[int, int], derive: bool = False
+    ) -> int:
+        """A verdict row for a test whose po-pair masks are already known.
+
+        The adaptive pipeline's fused checked-test path: ``indexed`` comes
+        straight from the enumeration items
+        (:meth:`~repro.checker.kernel.IndexedExecution.from_items`) and
+        ``groups`` maps each distinct po-pair mask to the bitmask of models
+        forcing exactly it (:meth:`~repro.compile.pair_table.PairTable.
+        mask_groups`).  Returns the row: bit ``m`` set iff model ``m``
+        allows the test.  Verdicts and the check/search/derive counters are
+        those :meth:`check_column` produces for the same column; no model
+        is resolved, so ``compile_cache_hits`` does not move.  Explicit
+        strategy only.
+        """
+        with self.lock:
+            stats = self.stats
+            stats.executions_evaluated += 1
+            stats.candidate_spaces_built += 1
+            stats.checks_performed += sum(
+                bin(models).count("1") for models in groups.values()
+            )
+            if indexed.infeasible:
+                return 0
+            verdicts = mask_verdicts(indexed, groups, self.kernel, stats, derive=derive)
+        row = 0
+        for mask, models in groups.items():
+            if verdicts[mask]:
+                row |= models
+        return row
 
     # ------------------------------------------------------------------
     # parallel fan-out

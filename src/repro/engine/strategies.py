@@ -26,7 +26,7 @@ model-independent caches:
 from __future__ import annotations
 
 from itertools import product
-from typing import TYPE_CHECKING, Dict, List, Protocol
+from typing import TYPE_CHECKING, Dict, Iterable, List, Protocol
 
 from repro.checker.relations import forced_edges, happens_before_graph
 from repro.engine.context import ModelLike, TestContext, as_compiled
@@ -114,52 +114,57 @@ class ExplicitStrategy:
         if indexed.infeasible:
             return [False] * len(compiled_models)
         masks = context.po_masks_column(compiled_models, stats, kernel=self.kernel)
-        po_pairs = indexed.po_pairs
-        kernel = self.kernel
-        is_native = kernel.is_native
         # The mask determines the pair list, so the per-column mask memo
         # subsumes the context's tuple-keyed verdict memo (the context is
         # seen exactly once on this path) without the tuple hashing.
-        verdict_of_mask: Dict[int, bool] = {}
+        verdict_of_mask = mask_verdicts(indexed, masks, self.kernel, stats, derive=derive)
+        return [verdict_of_mask[mask] for mask in masks]
+
+
+def mask_verdicts(
+    indexed, masks: Iterable[int], kernel, stats: "EngineStats", derive: bool = False
+) -> Dict[int, bool]:
+    """One kernel verdict per distinct po-pair mask of a column.
+
+    The column's mask-dedup/derive/search loop, shared by
+    :meth:`ExplicitStrategy.check_column` and the adaptive pipeline's fused
+    path (:meth:`~repro.engine.engine.CheckEngine.check_mask_groups`).
+    Each distinct mask is searched once; with ``derive`` the masks are
+    visited in descending popcount order and a verdict implied by an
+    already-decided mask (subset of an allowed one, superset of a forbidden
+    one) counts as ``derived_verdicts`` instead of a search.  Searches count
+    as ``native_searches`` or ``fallback_searches`` by where they ran.
+    """
+    po_pairs = indexed.po_pairs
+    is_native = kernel.is_native
+    if derive:
+        ordered: Iterable[int] = sorted(
+            set(masks), key=lambda mask: (-bin(mask).count("1"), mask)
+        )
+    else:
+        ordered = dict.fromkeys(masks)
+    verdict_of_mask: Dict[int, bool] = {}
+    for mask in ordered:
+        verdict = None
         if derive:
-            ordered = sorted(
-                set(masks), key=lambda mask: (-bin(mask).count("1"), mask)
-            )
-            for mask in ordered:
-                verdict = None
-                for known_mask, known in verdict_of_mask.items():
-                    if known and (mask & known_mask) == mask:
-                        verdict = True  # subset of an allowed mask
-                        break
-                    if not known and (mask & known_mask) == known_mask:
-                        verdict = False  # superset of a forbidden mask
-                        break
-                if verdict is not None:
-                    stats.derived_verdicts += 1
-                else:
-                    pairs = [
-                        pair for p, pair in enumerate(po_pairs) if (mask >> p) & 1
-                    ]
-                    verdict = kernel.allowed(indexed, pairs)
-                    if is_native:
-                        stats.native_searches += 1
-                    else:
-                        stats.fallback_searches += 1
-                verdict_of_mask[mask] = verdict
-            return [verdict_of_mask[mask] for mask in masks]
-        verdicts = []
-        for mask in masks:
-            verdict = verdict_of_mask.get(mask)
-            if verdict is None:
-                pairs = [pair for p, pair in enumerate(po_pairs) if (mask >> p) & 1]
-                verdict = kernel.allowed(indexed, pairs)
-                if is_native:
-                    stats.native_searches += 1
-                else:
-                    stats.fallback_searches += 1
-                verdict_of_mask[mask] = verdict
-            verdicts.append(verdict)
-        return verdicts
+            for known_mask, known in verdict_of_mask.items():
+                if known and (mask & known_mask) == mask:
+                    verdict = True  # subset of an allowed mask
+                    break
+                if not known and (mask & known_mask) == known_mask:
+                    verdict = False  # superset of a forbidden mask
+                    break
+        if verdict is not None:
+            stats.derived_verdicts += 1
+        else:
+            pairs = [pair for p, pair in enumerate(po_pairs) if (mask >> p) & 1]
+            verdict = kernel.allowed(indexed, pairs)
+            if is_native:
+                stats.native_searches += 1
+            else:
+                stats.fallback_searches += 1
+        verdict_of_mask[mask] = verdict
+    return verdict_of_mask
 
 
 class EnumerationStrategy:

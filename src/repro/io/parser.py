@@ -13,10 +13,12 @@ Grammar (one statement per line, ``#`` starts a comment)::
     address   := NAME | '[' NAME ']'           # location, or register-indirect
     operand   := NUMBER | NAME                 # constant or register
     expr      := operand (('+' | '-') operand)*
-    condition := 'exists' NAME '=' NUMBER ('&' NAME '=' NUMBER)*
+    condition := 'exists' [NAME '=' NUMBER ('&' NAME '=' NUMBER)*]
 
 The ``exists`` clause must constrain every load register; it becomes the
-test's outcome.
+test's outcome.  Only a test without loads may have the empty condition (a
+bare ``exists``, which is what :func:`~repro.io.writer.litmus_to_text`
+writes for it).
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ def parse_litmus(text: str) -> LitmusTest:
     current_instructions: List[Instruction] = []
     condition: Dict[str, int] = {}
     saw_condition = False
+    condition_line = 0
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
@@ -158,6 +161,7 @@ def parse_litmus(text: str) -> LitmusTest:
             current_instructions.append(Branch(_parse_expr(tokens[1:], line_number)))
         elif keyword == "exists":
             saw_condition = True
+            condition_line = line_number
             condition.update(_parse_condition(tokens[1:], line_number))
         else:
             raise ParseError(f"unknown statement {keyword!r}", line_number)
@@ -170,6 +174,12 @@ def parse_litmus(text: str) -> LitmusTest:
         raise ParseError("litmus test has no threads")
     if not saw_condition:
         raise ParseError("missing 'exists' condition")
+    if not condition and any(
+        isinstance(instruction, Load)
+        for thread in threads
+        for instruction in thread.instructions
+    ):
+        raise ParseError("empty condition", condition_line)
     return LitmusTest.from_register_outcome(name, Program(threads), condition)
 
 
@@ -188,8 +198,6 @@ def _parse_condition(tokens: List[str], line_number: int) -> Dict[str, int]:
             if tokens[index] != "&":
                 raise ParseError("conditions must be joined with '&'", line_number)
             index += 1
-    if not condition:
-        raise ParseError("empty condition", line_number)
     return condition
 
 

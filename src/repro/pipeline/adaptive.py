@@ -61,6 +61,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.compile.pair_table import PairTable
+
 #: One reduced event: (kind, location, value, retained).
 ReducedItem = Tuple[str, object, object, bool]
 
@@ -76,70 +78,22 @@ Profile = Tuple[ThreadProfile, ...]
 PARTITION_SCHEMA = "repro/partition_checkpoint"
 PARTITION_SCHEMA_VERSION = 1
 
-_EVENT_KINDS = ("R", "W", "F")
-
-
-# ----------------------------------------------------------------------
-# pair-atom tabulation of a model space
-# ----------------------------------------------------------------------
-def _pair_assignment(kind_x: str, kind_y: str, same: bool) -> Dict[Tuple[str, tuple], bool]:
-    """Truth assignment for the binary must-not-reorder vocabulary.
-
-    The enumeration fragment carries no dependency instructions, so the
-    dependency atoms are uniformly false — which is exactly what makes the
-    90-model dependency space tabulable too.
-    """
-    assign: Dict[Tuple[str, tuple], bool] = {}
-    for var, kind in (("x", kind_x), ("y", kind_y)):
-        assign[("Read", (var,))] = kind == "R"
-        assign[("Write", (var,))] = kind == "W"
-        assign[("Fence", (var,))] = kind == "F"
-        assign[("MemoryAccess", (var,))] = kind in ("R", "W")
-    assign[("SameAddr", ("x", "y"))] = same
-    assign[("DataDep", ("x", "y"))] = False
-    assign[("CtrlDep", ("x", "y"))] = False
-    assign[("AnyDep", ("x", "y"))] = False
-    return assign
-
-
-def _eval_ir(node, assign: Dict[Tuple[str, tuple], bool]) -> bool:
-    """Evaluate a compiled formula IR under a pair-atom assignment.
-
-    Raises ``KeyError`` (unknown atom) or ``ValueError`` (opaque node) when
-    the model falls outside the tabulated fragment; the caller treats
-    either as ineligibility.
-    """
-    kind = node.kind
-    if kind == "true":
-        return True
-    if kind == "false":
-        return False
-    if kind in ("atom", "natom"):
-        value = assign[(node.predicate.name, node.args)]
-        return (not value) if kind == "natom" else value
-    if kind == "and":
-        return all(_eval_ir(child, assign) for child in node.children)
-    if kind == "or":
-        return any(_eval_ir(child, assign) for child in node.children)
-    raise ValueError(f"node kind {kind!r} is outside the tabulated fragment")
-
 
 class AdaptiveSpace:
     """A model space's tabulated pair semantics plus the profile machinery.
 
     Build with :meth:`build`, which returns ``None`` when any model falls
-    outside the tabulated straight-line vocabulary (opaque callables,
-    predicates beyond Read/Write/Fence/MemoryAccess/SameAddr/*Dep) — the
-    caller then refuses adaptive mode rather than risk an unsound skip.
+    outside the tabulated straight-line vocabulary (see
+    :class:`~repro.compile.pair_table.PairTable`) — the caller then refuses
+    adaptive mode rather than risk an unsound skip.  The same table drives
+    the fused checked-test path of :mod:`repro.pipeline.run`.
     """
 
-    def __init__(
-        self, model_names: Sequence[str], tables: Dict[Tuple[str, str, bool], int]
-    ) -> None:
+    def __init__(self, model_names: Sequence[str], table: PairTable) -> None:
         self.model_names = list(model_names)
         self.num_models = len(self.model_names)
-        self.full_mask = (1 << self.num_models) - 1
-        self.tables = tables
+        self.full_mask = table.full_mask
+        self.table = table
         self._thread_memo: Dict[Tuple[ReducedItem, ...], ThreadProfile] = {}
         self._row_memo: Dict[Tuple[Tuple[str, int, int], ...], Tuple] = {}
         self._profile_memo: Dict[Tuple[ThreadProfile, ...], Profile] = {}
@@ -151,68 +105,32 @@ class AdaptiveSpace:
         """Tabulate a model space; None when any model is not tabulable."""
         from repro.compile.compiler import compile_model
 
-        roots = []
-        names = []
-        for model in models:
-            compiled = compile_model(model)
-            if compiled.kind != "formula":
-                return None
-            roots.append(compiled.root)
-            names.append(model.name)
-        tables: Dict[Tuple[str, str, bool], int] = {}
-        try:
-            for kind_x in _EVENT_KINDS:
-                for kind_y in _EVENT_KINDS:
-                    for same in (False, True):
-                        if same and "F" in (kind_x, kind_y):
-                            continue  # fences have no address
-                        assign = _pair_assignment(kind_x, kind_y, same)
-                        mask = 0
-                        for index, root in enumerate(roots):
-                            if _eval_ir(root, assign):
-                                mask |= 1 << index
-                        tables[(kind_x, kind_y, same)] = mask
-        except (KeyError, ValueError):
+        table = PairTable.build([compile_model(model) for model in models])
+        if table is None:
             return None
-        return cls(names, tables)
+        return cls([model.name for model in models], table)
 
     def digest(self) -> str:
         """A stable digest of the tabulated space (for checkpoint validation)."""
-        payload = (tuple(self.model_names), tuple(sorted(self.tables.items())))
+        payload = (tuple(self.model_names), tuple(sorted(self.table.labels.items())))
         return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()[:32]
 
     # ------------------------------------------------------------------
     # per-thread profiles
     # ------------------------------------------------------------------
-    def _pair_label(self, kind_x: str, kind_y: str, loc_x: object, loc_y: object) -> int:
-        if "F" in (kind_x, kind_y):
-            return self.tables[(kind_x, kind_y, False)]
-        return self.tables[(kind_x, kind_y, loc_x == loc_y)]
-
     def _thread_profile(self, thread: Tuple[ReducedItem, ...]) -> ThreadProfile:
         """One reduced thread's (retained accesses, signature)."""
         n = len(thread)
         retained_idx = [i for i in range(n) if thread[i][3]]
         remap = {position: i for i, position in enumerate(retained_idx)}
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        labels = {
-            pair: self._pair_label(
-                thread[pair[0]][0], thread[pair[1]][0],
-                thread[pair[0]][1], thread[pair[1]][1],
-            )
-            for pair in pairs
-        }
-        # Group the models by their per-pair forced-edge vector.
-        groups: Dict[Tuple[int, ...], int] = {}
-        for m in range(self.num_models):
-            bit = 1 << m
-            key = tuple(1 if labels[pair] & bit else 0 for pair in pairs)
-            groups[key] = groups.get(key, 0) | bit
-        # Per group: transitively close the forced edges (conduit events
-        # relay ordering), then project onto the retained positions.
+        # Group the models by their per-pair forced-edge vector (the table
+        # refines the full model set by each distinct pair label), then per
+        # group transitively close the forced edges (conduit events relay
+        # ordering) and project onto the retained positions.
         merged: Dict[Tuple, int] = {}
-        for key, mask in groups.items():
-            edges = {pair for pair, bit in zip(pairs, key) if bit}
+        for forced, models in self.table.mask_groups((thread,)).items():
+            edges = {pair for p, pair in enumerate(pairs) if (forced >> p) & 1}
             changed = True
             while changed:
                 changed = False
@@ -231,7 +149,7 @@ class AdaptiveSpace:
                     if i in remap and j in remap
                 )
             )
-            merged[projected] = merged.get(projected, 0) | mask
+            merged[projected] = merged.get(projected, 0) | models
         signature = tuple(sorted((mask, proj) for proj, mask in merged.items()))
         accesses = tuple(thread[i][:3] for i in retained_idx)
         return accesses, signature

@@ -38,10 +38,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.checker.kernel import IndexedExecution
+from repro.compile.pair_table import PairTable
 from repro.core.litmus import LitmusTest
 from repro.core.model import MemoryModel
 from repro.core.parametric import model_space
 from repro.engine.engine import CheckEngine, EngineStats
+from repro.engine.strategies import ExplicitStrategy
 from repro.generation.enumeration import (
     NaiveEnumerationConfig,
     enumerate_canonical_naive_items,
@@ -411,9 +414,44 @@ def _column_mask(
     return mask
 
 
+def _shard_rows(
+    engine: CheckEngine,
+    models: Sequence[MemoryModel],
+    names: Sequence[str],
+    items_list: Sequence[tuple],
+    derive: bool,
+    table: Optional[PairTable],
+) -> List[int]:
+    """One shard's verdict rows.
+
+    With a pair ``table`` (adaptive runs on the explicit strategy) each
+    test takes the fused path: the kernel index is built straight from the
+    enumeration items and every model's po mask comes from the table, so
+    no :class:`~repro.core.litmus.LitmusTest`, execution or IR mask walk is
+    built.  Without one, each test is materialised and answered by
+    :meth:`~repro.engine.engine.CheckEngine.check_column` — the path the
+    brute stream, the audits and non-explicit backends use as the oracle.
+    """
+    if table is not None:
+        return [
+            engine.check_mask_groups(
+                IndexedExecution.from_items(items, name),
+                table.mask_groups(items),
+                derive=derive,
+            )
+            for name, items in zip(names, items_list)
+        ]
+    return [
+        _column_mask(engine, test_from_items(items, name), models, derive=derive)
+        for name, items in zip(names, items_list)
+    ]
+
+
 #: State inherited by forked shard workers (backend name, kernel name,
-#: model list, derive flag).
-_PIPE_STATE: Optional[Tuple[str, str, List[MemoryModel], bool]] = None
+#: model list, derive flag, pair table of the fused path or None).
+_PIPE_STATE: Optional[
+    Tuple[str, str, List[MemoryModel], bool, Optional[PairTable]]
+] = None
 _PIPE_STATE_LOCK = threading.Lock()
 #: The worker process's persistent engine (one per process, lazily built).
 _WORKER_ENGINE: Optional[CheckEngine] = None
@@ -431,7 +469,7 @@ def _pipeline_worker_loop(conn) -> None:
     """
     global _WORKER_ENGINE
     assert _PIPE_STATE is not None
-    backend, kernel, models, derive = _PIPE_STATE
+    backend, kernel, models, derive, table = _PIPE_STATE
     while True:
         try:
             job = conn.recv()
@@ -451,15 +489,11 @@ def _pipeline_worker_loop(conn) -> None:
                 _WORKER_ENGINE.precompile(models)
             engine = _WORKER_ENGINE
             before = engine.stats.snapshot()
-            # The LitmusTest objects are materialised here, in the worker:
-            # the enumerating process streams only the compact abstract item
-            # tuples, which both parallelises the test construction and
-            # keeps the pipe carrying small tuples instead of instruction
-            # object graphs.
-            rows = [
-                _column_mask(engine, test_from_items(items, name), models, derive=derive)
-                for name, items in zip(names, items_list)
-            ]
+            # Tests are built here, in the worker: the enumerating process
+            # streams only the compact abstract item tuples, which both
+            # parallelises the construction and keeps the pipe carrying
+            # small tuples instead of object graphs.
+            rows = _shard_rows(engine, models, names, items_list, derive, table)
             conn.send(("ok", shard_index, rows, engine.stats.since(before).as_dict()))
         except Exception:  # noqa: BLE001 - the parent decides retry/quarantine
             try:
@@ -507,6 +541,7 @@ def _adaptive_shards(
     pindex: ProfileIndex,
     counters: Dict[str, int],
     audit_candidates: List[Tuple[str, tuple]],
+    row_audits: Dict[str, tuple],
     start_shard: int = 0,
     start_raw: int = 0,
 ) -> Iterator[ShardTuple]:
@@ -522,6 +557,10 @@ def _adaptive_shards(
       masks); the matrix only grows, so the decision never needs revisiting
       and the fresh profile still indexes future duplicates;
     * otherwise the test is checked.
+
+    Sampled skips go to ``audit_candidates`` and sampled checked tests to
+    ``row_audits`` (name -> items), both by :func:`audit_selected` at
+    ``config.audit_rate``.
 
     Frontier decisions read the live accumulator: in serial runs folds
     happen between yields (exactly-replayable decisions); in parallel runs
@@ -579,6 +618,8 @@ def _adaptive_shards(
                 audit_candidates.append((name, items))
             continue
         pindex.add(digest, name)
+        if audit_selected(digest, name, config.audit_rate):
+            row_audits[name] = items
         records.append({"row": len(names), "test": name, "key": digest})
         names.append(name)
         digests.append(digest)
@@ -643,6 +684,18 @@ def run_pipeline(
                 "vocabulary); rerun with --no-adaptive"
             )
 
+    # The fused checked-test path needs the explicit strategy's kernel; an
+    # engine with a verdict cache keeps answering (and filling) it through
+    # check_column.  Parallel workers build their own cache-less engines
+    # from config.backend.
+    serial_table: Optional[PairTable] = None
+    worker_table: Optional[PairTable] = None
+    if adaptive_space is not None:
+        if isinstance(engine.strategy, ExplicitStrategy) and engine.verdict_cache is None:
+            serial_table = adaptive_space.table
+        if config.backend == "explicit":
+            worker_table = adaptive_space.table
+
     run_dir = config.run_dir
     if run_dir is not None:
         os.makedirs(os.path.join(run_dir, "shards"), exist_ok=True)
@@ -679,6 +732,9 @@ def run_pipeline(
     pindex = ProfileIndex()
     counters = {"raw": 0, "profile_skips": 0, "frontier_skips": 0}
     audit_candidates: List[Tuple[str, tuple]] = []
+    #: sampled checked tests (name -> items) and the rows folded for them
+    row_audits: Dict[str, tuple] = {}
+    audited_rows: Dict[str, int] = {}
     start_shard = 0
     start_raw = 0
     partition_path: Optional[str] = None
@@ -719,6 +775,10 @@ def run_pipeline(
         nonlocal shards_checked, shards_resumed, next_checkpoint_shard
         for mask in rows:
             accumulator.fold_row(mask)
+        if row_audits:
+            for name, mask in zip(names, rows):
+                if name in row_audits:
+                    audited_rows[name] = mask
         if resumed:
             shards_resumed += 1
         else:
@@ -764,7 +824,7 @@ def run_pipeline(
     if config.adaptive:
         stream: Iterator[ShardTuple] = _adaptive_shards(
             config, adaptive_space, accumulator, pindex, counters,
-            audit_candidates, start_shard, start_raw,
+            audit_candidates, row_audits, start_shard, start_raw,
         )
     else:
         stream = _shards(config, index)
@@ -776,7 +836,8 @@ def run_pipeline(
     quarantined: List[int] = []
     if effective_jobs > 1:
         quarantined = _run_shards_parallel(
-            config, models, stream, fold_completed, stats, num_models
+            config, models, stream, fold_completed, stats, num_models,
+            worker_table,
         )
         shards_total = shards_checked + shards_resumed + len(quarantined)
     else:
@@ -795,13 +856,9 @@ def run_pipeline(
             # SIGKILLs the whole run: exactly the crash-resume scenario.
             faults.fire("pipeline.shard", shard=shard_index, attempt=0)
             before = engine.stats.snapshot()
-            rows = [
-                _column_mask(
-                    engine, test_from_items(items, name), models,
-                    derive=config.adaptive,
-                )
-                for name, items in zip(names, items_list)
-            ]
+            rows = _shard_rows(
+                engine, models, names, items_list, config.adaptive, serial_table
+            )
             stats.merge(engine.stats.since(before).as_dict())
             fold_completed(shard_index, names, digests, rows, False, extras)
 
@@ -809,9 +866,21 @@ def run_pipeline(
     # end-of-run audits: re-check a deterministic sample of the skipped
     # tests the long way and verify their certificates — a row that would
     # still refine the partition means an unsound skip, which fails the run.
+    # The same sample of *folded* rows is re-checked through check_column
+    # (the oracle of the fused path) and must match bit for bit; those
+    # re-checks are verification, like the template exploration, and stay
+    # out of the report's counters.
     # (Skipped when shards were quarantined: a representative's row may be
     # among the lost ones, and ``complete=False`` already flags the run.)
     # ------------------------------------------------------------------
+    if config.adaptive and not quarantined:
+        for name, items in row_audits.items():
+            mask = _column_mask(engine, test_from_items(items, name), models)
+            if audited_rows.get(name) != mask:
+                raise PipelineError(
+                    f"adaptive audit failed: the folded row of test {name!r} "
+                    f"differs from its check_column oracle row"
+                )
     audits_performed = 0
     if config.adaptive and audit_candidates and not quarantined:
         before = engine.stats.snapshot()
@@ -1000,6 +1069,7 @@ def _run_shards_parallel(
     fold_completed: Callable[..., None],
     stats: EngineStats,
     num_models: int,
+    table: Optional[PairTable],
 ) -> List[int]:
     """Fan shard checking out over fault-tolerant fork workers.
 
@@ -1014,6 +1084,9 @@ def _run_shards_parallel(
     its shard is retried up to ``config.shard_retries`` more times.  A
     shard that exhausts its attempts is *quarantined* — excluded from the
     partition and returned to the caller — instead of aborting the run.
+
+    Workers build fresh ``config.backend`` engines; ``table`` (the pair
+    table, or None) selects the fused checked-test path in them.
 
     Returns the quarantined shard indices (empty for a clean run).
     """
@@ -1035,13 +1108,9 @@ def _run_shards_parallel(
                 continue
             faults.fire("pipeline.shard", shard=shard_index, attempt=0)
             before = engine.stats.snapshot()
-            rows = [
-                _column_mask(
-                    engine, test_from_items(items, name), models,
-                    derive=config.adaptive,
-                )
-                for name, items in zip(names, items_list)
-            ]
+            rows = _shard_rows(
+                engine, models, names, items_list, config.adaptive, table
+            )
             stats.merge(engine.stats.since(before).as_dict())
             fold_completed(shard_index, names, digests, rows, False, extras)
         return []
@@ -1052,7 +1121,7 @@ def _run_shards_parallel(
     quarantined: List[int] = []
 
     with _PIPE_STATE_LOCK:
-        _PIPE_STATE = (config.backend, config.kernel, models, config.adaptive)
+        _PIPE_STATE = (config.backend, config.kernel, models, config.adaptive, table)
         workers: List[_WorkerHandle] = []
         try:
             #: shards materialised but not yet folded, in shard order

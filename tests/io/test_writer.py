@@ -45,3 +45,30 @@ def test_write_litmus_file(tmp_path):
 def test_description_is_emitted_as_comment():
     text = litmus_to_text(L_TESTS[0])
     assert "# " in text
+
+
+def test_roundtrip_keeps_every_small_bound_test():
+    """Every raw ``small``-bound enumerated test, read-free ones included,
+    survives text and back with its program, outcome and verdicts."""
+    from repro.core.parametric import model_space
+    from repro.engine.engine import CheckEngine
+    from repro.generation.enumeration import enumerate_raw_naive_items, test_from_items
+    from repro.pipeline.run import BOUNDS
+
+    engine = CheckEngine(kernel="bigint")
+    models = model_space(include_data_dependencies=False)
+    read_free = 0
+    for name, items in enumerate_raw_naive_items(BOUNDS["small"]):
+        test = test_from_items(items, name)
+        reparsed = parse_litmus(litmus_to_text(test))
+        assert reparsed.program == test.program, name
+        assert reparsed.outcome == test.outcome, name
+        assert engine.check_column(reparsed, models) == engine.check_column(test, models), name
+        read_free += not test.register_outcome()
+    assert read_free > 0
+
+
+def test_bare_exists_is_the_empty_condition_of_a_read_free_test():
+    test = parse_litmus('litmus "w"\nthread T1 {\n write X 1\n}\nexists\n')
+    assert test.register_outcome() == {}
+    assert litmus_to_text(test).rstrip().endswith("exists")
