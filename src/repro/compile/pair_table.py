@@ -7,8 +7,8 @@ event kinds and, for two memory accesses, whether they share a location.
 The dependency atoms are uniformly false there — which is what makes the
 90-model dependency space tabulable too.
 
-:class:`PairTable` evaluates every compiled model once per class (14
-classes) and stores, per class, the bitmask of models that force the edge.
+:class:`PairTable` evaluates every compiled model once per class (the 13
+``PAIR_CLASSES``) and stores, per class, the bitmask of models that force the edge.
 Two consumers read the one tabulation:
 
 * the adaptive prefilter (:mod:`repro.pipeline.adaptive`) labels the pairs

@@ -541,7 +541,7 @@ def _adaptive_shards(
     pindex: ProfileIndex,
     counters: Dict[str, int],
     audit_candidates: List[Tuple[str, tuple]],
-    row_audits: Dict[str, tuple],
+    row_audits: Optional[Dict[str, tuple]],
     start_shard: int = 0,
     start_raw: int = 0,
 ) -> Iterator[ShardTuple]:
@@ -559,8 +559,8 @@ def _adaptive_shards(
     * otherwise the test is checked.
 
     Sampled skips go to ``audit_candidates`` and sampled checked tests to
-    ``row_audits`` (name -> items), both by :func:`audit_selected` at
-    ``config.audit_rate``.
+    ``row_audits`` (name -> items; None collects none), both by
+    :func:`audit_selected` at ``config.audit_rate``.
 
     Frontier decisions read the live accumulator: in serial runs folds
     happen between yields (exactly-replayable decisions); in parallel runs
@@ -618,7 +618,7 @@ def _adaptive_shards(
                 audit_candidates.append((name, items))
             continue
         pindex.add(digest, name)
-        if audit_selected(digest, name, config.audit_rate):
+        if row_audits is not None and audit_selected(digest, name, config.audit_rate):
             row_audits[name] = items
         records.append({"row": len(names), "test": name, "key": digest})
         names.append(name)
@@ -684,17 +684,21 @@ def run_pipeline(
                 "vocabulary); rerun with --no-adaptive"
             )
 
-    # The fused checked-test path needs the explicit strategy's kernel; an
-    # engine with a verdict cache keeps answering (and filling) it through
-    # check_column.  Parallel workers build their own cache-less engines
+    # Extra workers beyond the machine's cores only add fork/IPC overhead
+    # (the check is CPU-bound), so a single-core host always takes the
+    # serial in-process path no matter what ``--jobs`` asks for.
+    effective_jobs = _effective_jobs(config)
+    # The fused checked-test path needs the explicit strategy's kernel: the
+    # serial loop checks on ``engine``, parallel workers on engines built
     # from config.backend.
-    serial_table: Optional[PairTable] = None
-    worker_table: Optional[PairTable] = None
+    table: Optional[PairTable] = None
     if adaptive_space is not None:
-        if isinstance(engine.strategy, ExplicitStrategy) and engine.verdict_cache is None:
-            serial_table = adaptive_space.table
-        if config.backend == "explicit":
-            worker_table = adaptive_space.table
+        if effective_jobs > 1:
+            explicit = config.backend == "explicit"
+        else:
+            explicit = isinstance(engine.strategy, ExplicitStrategy)
+        if explicit:
+            table = adaptive_space.table
 
     run_dir = config.run_dir
     if run_dir is not None:
@@ -732,8 +736,9 @@ def run_pipeline(
     pindex = ProfileIndex()
     counters = {"raw": 0, "profile_skips": 0, "frontier_skips": 0}
     audit_candidates: List[Tuple[str, tuple]] = []
-    #: sampled checked tests (name -> items) and the rows folded for them
-    row_audits: Dict[str, tuple] = {}
+    #: sampled checked tests (name -> items) and the rows folded for them;
+    #: only the fused path has an oracle to be re-checked against
+    row_audits: Optional[Dict[str, tuple]] = {} if table is not None else None
     audited_rows: Dict[str, int] = {}
     start_shard = 0
     start_raw = 0
@@ -829,15 +834,10 @@ def run_pipeline(
     else:
         stream = _shards(config, index)
 
-    # Extra workers beyond the machine's cores only add fork/IPC overhead
-    # (the check is CPU-bound), so a single-core host always takes the
-    # serial in-process path no matter what ``--jobs`` asks for.
-    effective_jobs = _effective_jobs(config)
     quarantined: List[int] = []
     if effective_jobs > 1:
         quarantined = _run_shards_parallel(
-            config, models, stream, fold_completed, stats, num_models,
-            worker_table,
+            config, models, stream, fold_completed, stats, num_models, table
         )
         shards_total = shards_checked + shards_resumed + len(quarantined)
     else:
@@ -857,7 +857,7 @@ def run_pipeline(
             faults.fire("pipeline.shard", shard=shard_index, attempt=0)
             before = engine.stats.snapshot()
             rows = _shard_rows(
-                engine, models, names, items_list, config.adaptive, serial_table
+                engine, models, names, items_list, config.adaptive, table
             )
             stats.merge(engine.stats.since(before).as_dict())
             fold_completed(shard_index, names, digests, rows, False, extras)
@@ -866,14 +866,14 @@ def run_pipeline(
     # end-of-run audits: re-check a deterministic sample of the skipped
     # tests the long way and verify their certificates — a row that would
     # still refine the partition means an unsound skip, which fails the run.
-    # The same sample of *folded* rows is re-checked through check_column
-    # (the oracle of the fused path) and must match bit for bit; those
-    # re-checks are verification, like the template exploration, and stay
-    # out of the report's counters.
+    # When the fused path ran, the same sample of *folded* rows is
+    # re-checked through check_column (its oracle) and must match bit for
+    # bit; those re-checks are verification, like the template
+    # exploration, and stay out of the report's counters.
     # (Skipped when shards were quarantined: a representative's row may be
     # among the lost ones, and ``complete=False`` already flags the run.)
     # ------------------------------------------------------------------
-    if config.adaptive and not quarantined:
+    if row_audits and not quarantined:
         for name, items in row_audits.items():
             mask = _column_mask(engine, test_from_items(items, name), models)
             if audited_rows.get(name) != mask:

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.cache.verdict import VerdictCache
 from repro.checker.kernel import IndexedExecution
 from repro.compile import compile_model
 from repro.compile.pair_table import PairTable
@@ -29,6 +30,7 @@ from repro.generation.enumeration import (
 )
 from repro.generation.enumeration import test_from_items as _test_from_items
 from repro.native.backend import native_available
+from repro.pipeline import run as pipeline_run
 from repro.pipeline.adaptive import AdaptiveSpace, reduce_core
 from repro.pipeline.run import BOUNDS, PipelineConfig, PipelineError, run_pipeline
 
@@ -272,3 +274,36 @@ def test_row_audits_stay_out_of_the_report_counters():
     assert audited.audits_performed == audited.profile_skips + audited.frontier_skips
     # only the skip audits add checks: 36 per re-checked skipped test
     assert audited.checks_performed == plain.checks_performed + 36 * audited.audits_performed
+
+
+def test_an_engine_with_a_verdict_cache_takes_the_fused_path():
+    config = PipelineConfig(bound="small", kernel="bigint", adaptive=True)
+    plain = run_pipeline(config)
+    cached = run_pipeline(
+        config,
+        engine=CheckEngine(backend="explicit", kernel="bigint", verdict_cache=VerdictCache()),
+    )
+    for field in _REPORT_FIELDS:
+        assert getattr(cached, field) == getattr(plain, field), field
+    assert cached.stats.compile_cache_hits == 0
+    assert cached.stats.verdict_cache_hits == cached.stats.verdict_cache_misses == 0
+
+
+@pytest.mark.parametrize("backend", ["explicit", "sat"])
+def test_folded_rows_are_audited_only_on_the_fused_path(monkeypatch, backend):
+    calls = []
+    column_mask = pipeline_run._column_mask
+
+    def counting(engine, test, models, derive=False):
+        calls.append(test.name)
+        return column_mask(engine, test, models, derive)
+
+    monkeypatch.setattr(pipeline_run, "_column_mask", counting)
+    report = run_pipeline(
+        PipelineConfig(bound="tiny", backend=backend, adaptive=True, audit_rate=1.0)
+    )
+    # Every checked test goes through check_column once: as the oracle
+    # re-check of its fused row (explicit) or as its shard check (sat, where
+    # a re-check would compare check_column with itself).  Every skipped
+    # test goes through once more as a skip audit.
+    assert len(calls) == len(set(calls)) == report.unique_tests + report.audits_performed
