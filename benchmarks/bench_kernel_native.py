@@ -1,13 +1,13 @@
 """Kernel-backend micro-benchmarks: bigint vs word-array vs C extension.
 
-The native layer (:mod:`repro.native`) reimplements the three hot loops of
-the explicit checker — incremental reachability, mask-program evaluation,
-and the full backtracking search — over fixed-width word arrays, with a C
-extension behind the same :class:`~repro.native.backend.KernelBackend`
-interface.  This module measures each loop per backend, records the backend
-name in ``extra_info``, and asserts bit-identical results along the way, so
-the perf gate sees kernel-level regressions separately from engine-level
-ones.
+The native layer (:mod:`repro.native`) reimplements the two hot loops of
+the explicit search — incremental reachability and the full backtracking
+search — over fixed-width word arrays, with a C extension behind the same
+:class:`~repro.native.backend.KernelBackend` interface.  This module
+measures each loop per backend, plus the one mask-program evaluator every
+backend shares, records the backend name in ``extra_info``, and asserts
+bit-identical results along the way, so the perf gate sees kernel-level
+regressions separately from engine-level ones.
 
 Backends are discovered at import: the native benchmarks run only when the
 C extension is built (``python setup.py build_ext --inplace``), so the
@@ -91,19 +91,18 @@ def test_reachability_add_undo(benchmark, backend):
 
 
 # ----------------------------------------------------------------------
-# mask-program evaluation per backend
+# mask-program evaluation: one evaluator, shared by every backend
 # ----------------------------------------------------------------------
 @pytest.mark.benchmark(group="kernel-mask-eval")
-@pytest.mark.parametrize("backend", KERNEL_IDS)
+@pytest.mark.parametrize("backend", ["bigint"])
 def test_mask_program_evaluation(benchmark, backend, models_36):
-    name, kernel = next(pair for pair in KERNELS if pair[0] == backend)
+    kernel = resolve_kernel(backend)
     compiled = [compile_model(model) for model in models_36]
     executions = [test.execution() for test in ALL_TESTS]
-    reference_kernel = resolve_kernel("bigint")
     expected = [
-        reference_kernel.po_pair_mask(IndexedExecution(execution), entry)
+        IndexedExecution(execution)._formula_mask(model.formula, model.registry)
         for execution in executions
-        for entry in compiled
+        for model in models_36
     ]
 
     def run():
@@ -116,8 +115,8 @@ def test_mask_program_evaluation(benchmark, backend, models_36):
         return masks
 
     masks = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert masks == expected  # bit-identical to the bigint lowering
-    benchmark.extra_info["kernel_backend"] = name
+    assert masks == expected  # bit-identical to the reference interpreter
+    benchmark.extra_info["kernel_backend"] = backend
     benchmark.extra_info["mask_evaluations"] = len(masks)
 
 

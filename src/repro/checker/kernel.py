@@ -279,7 +279,7 @@ class IndexedExecution:
         # candidate outcomes) never pay for materialising the store orders.
         self._coherence_orders_at: Optional[Dict[str, Tuple[Tuple[int, ...], ...]]] = None
 
-        self._atom_masks: Dict[Tuple[Predicate, Tuple[str, ...]], int] = {}
+        self._predicate_masks: Dict[Tuple[Predicate, Tuple[str, ...]], int] = {}
         # Per-execution masks of hash-consed ModelIR nodes, keyed by
         # node id (see repro.compile.lower_masks); subtrees shared across
         # a model space evaluate once per execution.
@@ -442,7 +442,7 @@ class IndexedExecution:
         predicates take the generic per-pair path.
         """
         key = (predicate, args)
-        cached = self._atom_masks.get(key)
+        cached = self._predicate_masks.get(key)
         if cached is not None:
             return cached
         events = self.events
@@ -494,7 +494,7 @@ class IndexedExecution:
                     value = predicate.evaluate(execution, pair_events[0], pair_events[1])
                 if value:
                     mask |= 1 << p
-        self._atom_masks[key] = mask
+        self._predicate_masks[key] = mask
         return mask
 
 

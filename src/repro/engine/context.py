@@ -48,6 +48,7 @@ from repro.core.execution import Execution, ExecutionError
 from repro.core.expr import ExprError
 from repro.core.litmus import LitmusTest
 from repro.core.model import MemoryModel
+from repro.native.backend import resolve_kernel
 from repro.sat.solver import SatSolver
 
 #: An edge between kernel event indices.
@@ -55,6 +56,10 @@ IndexEdge = Tuple[int, int]
 
 #: Context methods accept either form; raw models are compiled on the fly.
 ModelLike = Union[MemoryModel, CompiledModel]
+
+#: The mask evaluator for callers without a kernel (the SAT strategy,
+#: synthesis).  Every backend evaluates masks the same way.
+MASK_KERNEL = resolve_kernel("bigint")
 
 
 def as_compiled(model: ModelLike) -> CompiledModel:
@@ -118,15 +123,13 @@ class TestContext:
             self._indexed = IndexedExecution(self.execution)
         return self._indexed
 
-    def po_mask(self, model: ModelLike, stats=None, kernel=None) -> int:
+    def po_mask(self, model: ModelLike, stats=None) -> int:
         """Return the model's po-pair truth vector over the indexed execution.
 
         This is the one model-dependent quantity both the explicit kernel
         and the SAT assumptions derive from.  Cached by IR digest; a hit
-        increments ``stats.po_edge_cache_hits``.  ``kernel`` selects the
-        mask evaluator (a :class:`~repro.native.backend.KernelBackend`);
-        the default is the bigint closure lowering.  All kernels compute
-        identical masks, so the digest cache is shared between them.
+        increments ``stats.po_edge_cache_hits``.  Every backend computes
+        the same mask, so the digest cache is shared between them.
         """
         compiled = as_compiled(model)
         digest = compiled.digest
@@ -135,21 +138,16 @@ class TestContext:
             if stats is not None:
                 stats.po_edge_cache_hits += 1
             return mask
-        if kernel is None:
-            mask = compiled.mask_program(self.indexed())
-        else:
-            mask = kernel.po_pair_mask(self.indexed(), compiled)
-        self._po_masks[digest] = mask
+        mask = self._po_masks[digest] = MASK_KERNEL.po_pair_mask(self.indexed(), compiled)
         return mask
 
-    def po_masks_column(self, compiled_models, stats=None, kernel=None) -> List[int]:
+    def po_masks_column(self, compiled_models, stats=None, kernel=MASK_KERNEL) -> List[int]:
         """Return the whole column's po-pair masks, batch-evaluating misses.
 
         The streaming pipeline answers each test for the full model space
         exactly once, so the common case is every digest missing; the
-        misses go through the kernel's :meth:`~repro.native.backend.
-        KernelBackend.po_pair_masks` — one combined-program evaluation for
-        the column instead of one call per model.  Hits count toward
+        misses go through one :meth:`~repro.native.backend.KernelBackend.
+        po_pair_masks` call for the column.  Hits count toward
         ``stats.po_edge_cache_hits`` exactly like :meth:`po_mask`.
         """
         masks = self._po_masks
@@ -160,23 +158,19 @@ class TestContext:
             elif stats is not None:
                 stats.po_edge_cache_hits += 1
         if missing:
-            indexed = self.indexed()
-            if kernel is None:
-                for compiled in missing:
-                    masks[compiled.digest] = compiled.mask_program(indexed)
-            else:
-                for compiled, mask in zip(missing, kernel.po_pair_masks(indexed, missing)):
-                    masks[compiled.digest] = mask
+            for compiled, mask in zip(missing, kernel.po_pair_masks(self.indexed(), missing)):
+                masks[compiled.digest] = mask
         return [masks[compiled.digest] for compiled in compiled_models]
 
-    def po_edge_pairs(self, model: ModelLike, stats=None, kernel=None) -> List[IndexEdge]:
+    def po_edge_pairs(self, model: ModelLike, stats=None, kernel=MASK_KERNEL) -> List[IndexEdge]:
         """Return the model's program-order edges as kernel index pairs.
 
         Cached by IR digest; a hit increments ``stats.po_edge_cache_hits``.
         The miss path is deliberately flat — one digest lookup per cache,
         the mask evaluated inline — because the streaming pipeline hits it
-        once per (test, model) with nothing warm.  ``kernel`` selects the
-        mask evaluator exactly as in :meth:`po_mask`.
+        once per (test, model) with nothing warm.  A missing mask is
+        evaluated by ``kernel``'s :meth:`~repro.native.backend.
+        KernelBackend.po_pair_mask`.
         """
         compiled = model if isinstance(model, CompiledModel) else compile_model(model)
         digest = compiled.digest
@@ -188,11 +182,7 @@ class TestContext:
         indexed = self.indexed()
         mask = self._po_masks.get(digest)
         if mask is None:
-            if kernel is None:
-                mask = compiled.mask_program(indexed)
-            else:
-                mask = kernel.po_pair_mask(indexed, compiled)
-            self._po_masks[digest] = mask
+            mask = self._po_masks[digest] = kernel.po_pair_mask(indexed, compiled)
         pairs = [pair for p, pair in enumerate(indexed.po_pairs) if (mask >> p) & 1]
         self._po_pairs_by_digest[digest] = pairs
         return pairs

@@ -54,12 +54,13 @@ class CheckStrategy(Protocol):
 class ExplicitStrategy:
     """Pruned backtracking over the context's bitset-indexed execution.
 
-    The search and the mask-program evaluation run on a pluggable
+    The search runs on a pluggable
     :class:`~repro.native.backend.KernelBackend` — the C extension, the
     pure-Python word-array port, or the original bigint kernel — resolved
     once at construction (see :func:`repro.native.backend.resolve_kernel`
-    for the ``auto``/``REPRO_KERNEL`` selection order).  All backends are
-    bit-identical; only speed and the native/fallback counters differ.
+    for the ``auto``/``REPRO_KERNEL`` selection order); mask evaluation is
+    the same for every backend.  All backends are bit-identical; only
+    speed and the native/fallback counters differ.
     """
 
     name = "explicit"
@@ -88,14 +89,14 @@ class ExplicitStrategy:
     ) -> List[bool]:
         """A whole model column in one pass — the streaming hot path.
 
-        The column's masks are batch-evaluated through the kernel's
-        combined program (one evaluation for the space, registers shared
-        across models), then deduplicated by mask value before the pair
-        lists are even built: distinct models frequently force identical
-        edges on a small test, and the mask determines the pairs, so one
-        kernel search (further memoized by edge tuple in the context)
-        answers every model that shares it.  Verdicts and search counters
-        are identical to per-model :meth:`check` calls.
+        The column's masks are evaluated in one call (subformulas shared
+        across models evaluate once per test), then deduplicated by mask
+        value before the pair lists are even built: distinct models
+        frequently force identical edges on a small test, and the mask
+        determines the pairs, so one kernel search (further memoized by
+        edge tuple in the context) answers every model that shares it.
+        Verdicts and search counters are identical to per-model
+        :meth:`check` calls.
 
         ``derive=True`` additionally exploits that verdicts are monotone
         in the forced-po mask: more forced edges means fewer candidate

@@ -1,13 +1,14 @@
 """Word-array native checking kernels.
 
 This package lowers the hot loop of the explicit checker — the
-decide/propagate/undo search of :mod:`repro.checker.kernel` and the
-bitmask-program evaluation of :mod:`repro.compile.lower_masks` — from
+decide/propagate/undo search of :mod:`repro.checker.kernel` — from
 unbounded Python ints to fixed-width arrays of 64-bit words, behind one
 :class:`~repro.native.backend.KernelBackend` interface with three
 implementations: the original ``bigint`` reference, a pure-Python
 word-array port (``python``), and a C extension fast path (``native``,
 :mod:`repro.native._kernelmod`, built optionally by ``setup.py``).
+Po-pair masks are evaluated the same way for every backend, by the IR
+lowering of :mod:`repro.compile.lower_masks`.
 
 See ``docs/architecture.md`` ("Kernel backends") for the word layout,
 the selection order and the build-fallback semantics.

@@ -1,8 +1,9 @@
 /* Word-array native checking kernel.
  *
- * C fast path for the explicit checker's hot loop, mirroring the
- * pure-Python word-array reference (repro/native/wordsearch.py and
- * repro/native/flatprog.py) instruction for instruction:
+ * C fast path for the explicit checker's search, mirroring the pure-Python
+ * word-array reference (repro/native/wordsearch.py) instruction for
+ * instruction.  Mask evaluation is not here: every backend evaluates
+ * po-pair masks through the same IR lowering (repro/compile/lower_masks.py).
  *
  *   Problem        -- one execution's flattened search problem, built from
  *                     repro.native.problem.KernelProblem: the decision
@@ -16,10 +17,6 @@
  *                     index per slot) or None -- iteration order matches
  *                     the Python kernels exactly, so witnesses are
  *                     bit-identical across backends.
- *   Problem.eval_program -- evaluates a flattened ModelIR mask program
- *                     (repro.native.flatprog encoding) over the po-pair
- *                     word universe, atoms supplied as precomputed
- *                     little-endian word buffers.
  *   bench_reach    -- reachability add/undo micro-benchmark hook.
  *
  * Bitsets are little-endian arrays of 64-bit words: bit i lives in word
@@ -32,21 +29,12 @@
 #include <stdint.h>
 #include <string.h>
 
-#define OP_TRUE 0
-#define OP_FALSE 1
-#define OP_ATOM 2
-#define OP_NATOM 3
-#define OP_AND 4
-#define OP_OR 5
-
 #define RF_INITIAL (-1)
 
 typedef struct {
     PyObject_HEAD
     int n;            /* events */
     int nw;           /* words per event bitset */
-    int num_pairs;    /* same-thread po pairs */
-    int pw;           /* words per pair mask */
     int nloads;
     int nplan;
     int nslots;       /* coherence slots (locations with stores) */
@@ -125,7 +113,7 @@ Problem_dealloc(ProblemObject *self)
 static int
 Problem_init(ProblemObject *self, PyObject *args, PyObject *kwds)
 {
-    int n, num_pairs, nloads, nplan, nslots;
+    int n, nloads, nplan, nslots;
     PyObject *plan_kind_b, *plan_arg_b, *co_count_b, *co_len_b, *co_off_b;
     PyObject *co_flat_b, *loads_b, *load_slot_b, *rf_off_b, *rf_flat_b;
     PyObject *thread_of_b, *po_before_b;
@@ -135,20 +123,18 @@ Problem_init(ProblemObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "Problem takes no keyword arguments");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "iiiiiSSSSSSSSSSSS", &n, &num_pairs, &nloads,
-                          &nplan, &nslots, &plan_kind_b, &plan_arg_b,
+    if (!PyArg_ParseTuple(args, "iiiiSSSSSSSSSSSS", &n, &nloads, &nplan,
+                          &nslots, &plan_kind_b, &plan_arg_b,
                           &co_count_b, &co_len_b, &co_off_b, &co_flat_b,
                           &loads_b, &load_slot_b, &rf_off_b, &rf_flat_b,
                           &thread_of_b, &po_before_b))
         return -1;
-    if (n < 0 || num_pairs < 0 || nloads < 0 || nplan < 0 || nslots < 0) {
+    if (n < 0 || nloads < 0 || nplan < 0 || nslots < 0) {
         PyErr_SetString(PyExc_ValueError, "Problem: negative dimension");
         return -1;
     }
     self->n = n;
     self->nw = n > 0 ? (n + 63) >> 6 : 1;
-    self->num_pairs = num_pairs;
-    self->pw = num_pairs > 0 ? (num_pairs + 63) >> 6 : 1;
     self->nloads = nloads;
     self->nplan = nplan;
     self->nslots = nslots;
@@ -493,186 +479,6 @@ Problem_search(ProblemObject *self, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
-/* flattened mask-program evaluation                                   */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-Problem_eval_program(ProblemObject *self, PyObject *args)
-{
-    PyObject *codes_b, *atoms_seq, *atoms = NULL, *result = NULL;
-    PyObject *outputs_b = NULL;
-    int num_instructions;
-    char *codes_data;
-    Py_ssize_t codes_size, natoms, a;
-    const int32_t *codes;
-    const int32_t *outputs = NULL;
-    Py_ssize_t noutputs = 0;
-    int64_t ncodes, position;
-    const int pw = self->pw;
-    uint64_t tail_last;
-    uint64_t *registers = NULL;
-    const uint64_t **atom_words = NULL;
-    int r, k;
-
-    if (!PyArg_ParseTuple(args, "SiO|S", &codes_b, &num_instructions, &atoms_seq,
-                          &outputs_b))
-        return NULL;
-    if (PyBytes_AsStringAndSize(codes_b, &codes_data, &codes_size) < 0)
-        return NULL;
-    if (codes_size % 4 != 0 || num_instructions < 1) {
-        PyErr_SetString(PyExc_ValueError, "eval_program: bad code buffer");
-        return NULL;
-    }
-    codes = (const int32_t *)codes_data;
-    ncodes = codes_size / 4;
-    if (outputs_b != NULL) {
-        char *outputs_data;
-        Py_ssize_t outputs_size;
-        if (PyBytes_AsStringAndSize(outputs_b, &outputs_data, &outputs_size) < 0)
-            return NULL;
-        if (outputs_size % 4 != 0 || outputs_size == 0) {
-            PyErr_SetString(PyExc_ValueError, "eval_program: bad output buffer");
-            return NULL;
-        }
-        outputs = (const int32_t *)outputs_data;
-        noutputs = outputs_size / 4;
-        for (a = 0; a < noutputs; a++) {
-            if (outputs[a] < 0 || outputs[a] >= num_instructions) {
-                PyErr_SetString(PyExc_ValueError,
-                                "eval_program: output register out of range");
-                return NULL;
-            }
-        }
-    }
-
-    atoms = PySequence_Fast(atoms_seq, "eval_program: atoms must be a sequence");
-    if (atoms == NULL)
-        return NULL;
-    natoms = PySequence_Fast_GET_SIZE(atoms);
-    atom_words = PyMem_Malloc((size_t)(natoms ? natoms : 1) * sizeof(uint64_t *));
-    registers = PyMem_Malloc((size_t)num_instructions * pw * 8);
-    if (atom_words == NULL || registers == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (a = 0; a < natoms; a++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(atoms, a);
-        char *data;
-        Py_ssize_t size;
-        if (PyBytes_AsStringAndSize(item, &data, &size) < 0)
-            goto done;
-        if (size != (Py_ssize_t)pw * 8) {
-            PyErr_SetString(PyExc_ValueError, "eval_program: bad atom buffer");
-            goto done;
-        }
-        atom_words[a] = (const uint64_t *)data;
-    }
-
-    /* All-ones over num_pairs bits: words 0..pw-2 are always full, the
-     * last word is partial (or empty when num_pairs == 0). */
-    if (self->num_pairs == 0)
-        tail_last = 0;
-    else if ((self->num_pairs & 63) == 0)
-        tail_last = ~(uint64_t)0;
-    else
-        tail_last = ((uint64_t)1 << (self->num_pairs & 63)) - 1;
-
-    position = 0;
-    for (r = 0; r < num_instructions; r++) {
-        uint64_t *reg = registers + (size_t)r * pw;
-        int op, operand;
-        if (position + 2 > ncodes)
-            goto truncated;
-        op = codes[position];
-        operand = codes[position + 1];
-        position += 2;
-        switch (op) {
-        case OP_TRUE:
-            for (k = 0; k < pw - 1; k++)
-                reg[k] = ~(uint64_t)0;
-            reg[pw - 1] = tail_last;
-            break;
-        case OP_FALSE:
-            memset(reg, 0, (size_t)pw * 8);
-            break;
-        case OP_ATOM:
-        case OP_NATOM:
-            if (operand < 0 || operand >= natoms) {
-                PyErr_SetString(PyExc_ValueError,
-                                "eval_program: atom index out of range");
-                goto done;
-            }
-            if (op == OP_ATOM) {
-                memcpy(reg, atom_words[operand], (size_t)pw * 8);
-            } else {
-                /* complement stays inside the pair universe */
-                for (k = 0; k < pw - 1; k++)
-                    reg[k] = ~atom_words[operand][k];
-                reg[pw - 1] = ~atom_words[operand][pw - 1] & tail_last;
-            }
-            break;
-        case OP_AND:
-        case OP_OR: {
-            int count = operand, s;
-            if (count < 0 || position + count > ncodes)
-                goto truncated;
-            if (op == OP_AND) {
-                for (k = 0; k < pw - 1; k++)
-                    reg[k] = ~(uint64_t)0;
-                reg[pw - 1] = tail_last;
-            } else {
-                memset(reg, 0, (size_t)pw * 8);
-            }
-            for (s = 0; s < count; s++) {
-                int source = codes[position + s];
-                const uint64_t *row;
-                if (source < 0 || source >= r) {
-                    PyErr_SetString(PyExc_ValueError,
-                                    "eval_program: bad register reference");
-                    goto done;
-                }
-                row = registers + (size_t)source * pw;
-                if (op == OP_AND)
-                    for (k = 0; k < pw; k++)
-                        reg[k] &= row[k];
-                else
-                    for (k = 0; k < pw; k++)
-                        reg[k] |= row[k];
-            }
-            position += count;
-            break;
-        }
-        default:
-            PyErr_SetString(PyExc_ValueError, "eval_program: unknown opcode");
-            goto done;
-        }
-    }
-    if (outputs == NULL) {
-        result = PyBytes_FromStringAndSize(
-            (const char *)(registers + (size_t)(num_instructions - 1) * pw),
-            (Py_ssize_t)pw * 8);
-    } else {
-        /* concatenate the requested output registers, in request order */
-        result = PyBytes_FromStringAndSize(NULL, noutputs * (Py_ssize_t)pw * 8);
-        if (result != NULL) {
-            char *out = PyBytes_AS_STRING(result);
-            for (a = 0; a < noutputs; a++)
-                memcpy(out + (size_t)a * pw * 8,
-                       registers + (size_t)outputs[a] * pw, (size_t)pw * 8);
-        }
-    }
-    goto done;
-
-truncated:
-    PyErr_SetString(PyExc_ValueError, "eval_program: truncated code buffer");
-done:
-    PyMem_Free(registers);
-    PyMem_Free(atom_words);
-    Py_XDECREF(atoms);
-    return result;
-}
-
-/* ------------------------------------------------------------------ */
 /* reachability micro-benchmark hook                                   */
 /* ------------------------------------------------------------------ */
 
@@ -757,101 +563,12 @@ kernelmod_bench_reach(PyObject *module, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
-/* batched builtin atom masks                                          */
-/* ------------------------------------------------------------------ */
-
-/* Spec codes: one int32 triple (code, a, b) per requested atom.
- * code 0 -- event trait: a = flag bit (0 read, 1 write, 2 fence,
- *           3 memory access), b = pair side (0 = u, 1 = v).
- * code 1 -- same address: a, b = pair sides for the two operands.
- */
-static PyObject *
-kernelmod_atom_masks(PyObject *module, PyObject *args)
-{
-    int num_events, num_pairs, pw;
-    PyObject *pairs_b, *flags_b, *locid_b, *specs_b;
-    char *pairs_data, *flags_data, *locid_data, *specs_data;
-    Py_ssize_t pairs_size, flags_size, locid_size, specs_size;
-    const int32_t *pairs, *locid, *specs;
-    const uint8_t *flags;
-    Py_ssize_t num_specs, s;
-    PyObject *result;
-    uint64_t *out;
-    int p;
-
-    if (!PyArg_ParseTuple(args, "iiiSSSS", &num_events, &num_pairs, &pw,
-                          &pairs_b, &flags_b, &locid_b, &specs_b))
-        return NULL;
-    if (PyBytes_AsStringAndSize(pairs_b, &pairs_data, &pairs_size) < 0 ||
-        PyBytes_AsStringAndSize(flags_b, &flags_data, &flags_size) < 0 ||
-        PyBytes_AsStringAndSize(locid_b, &locid_data, &locid_size) < 0 ||
-        PyBytes_AsStringAndSize(specs_b, &specs_data, &specs_size) < 0)
-        return NULL;
-    if (num_events < 0 || num_pairs < 0 || pw < 1 ||
-        (Py_ssize_t)num_pairs > (Py_ssize_t)pw * 64 ||
-        pairs_size != (Py_ssize_t)num_pairs * 8 ||
-        flags_size != (Py_ssize_t)num_events ||
-        locid_size != (Py_ssize_t)num_events * 4 ||
-        specs_size % 12 != 0) {
-        PyErr_SetString(PyExc_ValueError, "atom_masks: inconsistent buffers");
-        return NULL;
-    }
-    pairs = (const int32_t *)pairs_data;
-    flags = (const uint8_t *)flags_data;
-    locid = (const int32_t *)locid_data;
-    specs = (const int32_t *)specs_data;
-    num_specs = specs_size / 12;
-    for (p = 0; p < num_pairs * 2; p++) {
-        if (pairs[p] < 0 || pairs[p] >= num_events) {
-            PyErr_SetString(PyExc_ValueError, "atom_masks: pair out of range");
-            return NULL;
-        }
-    }
-    for (s = 0; s < num_specs; s++) {
-        int code = specs[s * 3], a = specs[s * 3 + 1], b = specs[s * 3 + 2];
-        if (code < 0 || code > 1 || a < 0 || b < 0 || b > 1 ||
-            (code == 0 && a > 3) || (code == 1 && a > 1)) {
-            PyErr_SetString(PyExc_ValueError, "atom_masks: bad spec");
-            return NULL;
-        }
-    }
-
-    result = PyBytes_FromStringAndSize(NULL, num_specs * (Py_ssize_t)pw * 8);
-    if (!result)
-        return NULL;
-    out = (uint64_t *)PyBytes_AS_STRING(result);
-    memset(out, 0, (size_t)num_specs * pw * 8);
-    for (s = 0; s < num_specs; s++) {
-        int code = specs[s * 3], a = specs[s * 3 + 1], b = specs[s * 3 + 2];
-        uint64_t *row = out + (size_t)s * pw;
-        if (code == 0) {
-            for (p = 0; p < num_pairs; p++) {
-                int ev = pairs[p * 2 + b];
-                if ((flags[ev] >> a) & 1)
-                    row[p >> 6] |= (uint64_t)1 << (p & 63);
-            }
-        } else {
-            for (p = 0; p < num_pairs; p++) {
-                int la = locid[pairs[p * 2 + a]];
-                if (la >= 0 && la == locid[pairs[p * 2 + b]])
-                    row[p >> 6] |= (uint64_t)1 << (p & 63);
-            }
-        }
-    }
-    return result;
-}
-
-/* ------------------------------------------------------------------ */
 /* type and module boilerplate                                         */
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef Problem_methods[] = {
     {"search", (PyCFunction)Problem_search, METH_VARARGS,
      "search(po_edges_bytes) -> None | (rf_tuple, co_choice_tuple)"},
-    {"eval_program", (PyCFunction)Problem_eval_program, METH_VARARGS,
-     "eval_program(codes_bytes, num_instructions, atom_buffers[, outputs_bytes])\n"
-     "-> mask bytes (the last register, or the int32-indexed output\n"
-     "registers concatenated in request order)"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -870,9 +587,6 @@ static PyTypeObject ProblemType = {
 static PyMethodDef kernelmod_methods[] = {
     {"bench_reach", kernelmod_bench_reach, METH_VARARGS,
      "bench_reach(n, edges_bytes, rounds) -> checksum (add/undo micro-bench)"},
-    {"atom_masks", kernelmod_atom_masks, METH_VARARGS,
-     "atom_masks(num_events, num_pairs, pw, pairs_bytes, flags_bytes,\n"
-     "locid_bytes, specs_bytes) -> concatenated pw*8-byte truth masks"},
     {NULL, NULL, 0, NULL},
 };
 

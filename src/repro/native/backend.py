@@ -4,16 +4,18 @@ A :class:`KernelBackend` answers the two kernel-level questions the explicit
 strategy asks: run the decide/propagate/undo search for one po-edge set
 (:meth:`~KernelBackend.search`, returning the witness or None), and
 evaluate a compiled model's po-pair mask over an execution
-(:meth:`~KernelBackend.po_pair_mask`).  Three implementations:
+(:meth:`~KernelBackend.po_pair_mask`).  Backends differ only in the
+search; mask evaluation is written once, on the base class, as the IR
+closure lowering of :mod:`repro.compile.lower_masks`.  Three
+implementations:
 
 * ``bigint`` — the original Python-int kernel of
-  :mod:`repro.checker.kernel` and the closure lowering of
-  :mod:`repro.compile.lower_masks`; the semantic reference.
+  :mod:`repro.checker.kernel`; the semantic reference.
 * ``python`` — the pure-Python word-array port
-  (:mod:`repro.native.wordsearch` / :mod:`repro.native.flatprog`): same
-  fixed-width data layout as the C code, no C.  Slower than ``bigint`` —
-  it exists as the executable specification of the native layout and the
-  differential oracle, not as a fast path.
+  (:mod:`repro.native.wordsearch`): same fixed-width data layout as the C
+  search, no C.  Slower than ``bigint`` — it exists as the executable
+  specification of the native layout and the differential oracle, not as
+  a fast path.
 * ``native`` — the C extension :mod:`repro.native._kernelmod`, when built.
 
 Selection (:func:`resolve_kernel`) resolves, in order: an explicit
@@ -33,13 +35,6 @@ import os
 from typing import List, Optional, Sequence, Tuple
 
 from repro.checker.kernel import IndexedExecution, KernelSearch, KernelWitness
-from repro.native.flatprog import (
-    evaluate_words,
-    evaluate_words_multi,
-    flat_program,
-    flat_program_multi,
-    positive_atom_mask,
-)
 from repro.native.problem import kernel_problem
 from repro.native.wordsearch import word_search
 
@@ -92,15 +87,13 @@ class KernelBackend:
 
     def po_pair_mask(self, indexed: IndexedExecution, compiled) -> int:
         """Evaluate the compiled model's po-pair truth vector (an int mask)."""
-        raise NotImplementedError
+        return compiled.mask_program(indexed)
 
     def po_pair_masks(self, indexed: IndexedExecution, compiled_list) -> List[int]:
-        """Evaluate a whole model column's truth vectors in one pass.
+        """Evaluate a whole model column's truth vectors.
 
-        The word-array backends flatten the column to one combined program
-        (registers shared across models through the hash-consed node ids)
-        and evaluate it once; the base implementation just loops.  Always
-        bit-identical to per-model :meth:`po_pair_mask` calls.
+        Subformulas shared across the column are evaluated once: the
+        lowering memoizes every IR node's mask on the ``IndexedExecution``.
         """
         return [self.po_pair_mask(indexed, compiled) for compiled in compiled_list]
 
@@ -113,9 +106,6 @@ class BigintKernelBackend(KernelBackend):
     def search(self, indexed, po_edges):
         return KernelSearch(indexed, po_edges).run()
 
-    def po_pair_mask(self, indexed, compiled) -> int:
-        return compiled.mask_program(indexed)
-
 
 class WordKernelBackend(KernelBackend):
     """Pure-Python word arrays: the C layout without the C."""
@@ -124,18 +114,6 @@ class WordKernelBackend(KernelBackend):
 
     def search(self, indexed, po_edges):
         return word_search(kernel_problem(indexed), po_edges)
-
-    def po_pair_mask(self, indexed, compiled) -> int:
-        program = flat_program(compiled.root)
-        atom_masks = [positive_atom_mask(indexed, node) for node in program.atoms]
-        return evaluate_words(program, indexed, atom_masks)
-
-    def po_pair_masks(self, indexed, compiled_list):
-        if not compiled_list:
-            return []
-        program = flat_program_multi([compiled.root for compiled in compiled_list])
-        atom_masks = [positive_atom_mask(indexed, node) for node in program.atoms]
-        return evaluate_words_multi(program, indexed, atom_masks)
 
 
 class NativeKernelBackend(KernelBackend):
@@ -152,31 +130,6 @@ class NativeKernelBackend(KernelBackend):
         if result is None:
             return None
         return problem.witness(result[0], result[1])
-
-    def po_pair_mask(self, indexed, compiled) -> int:
-        program = flat_program(compiled.root)
-        problem = kernel_problem(indexed)
-        atoms: List[bytes] = problem.atom_words_list(program.atoms)
-        mask_bytes = problem.native().eval_program(
-            program.codes_bytes, program.num_instructions, atoms
-        )
-        return int.from_bytes(mask_bytes, "little")
-
-    def po_pair_masks(self, indexed, compiled_list):
-        if not compiled_list:
-            return []
-        program = flat_program_multi([compiled.root for compiled in compiled_list])
-        problem = kernel_problem(indexed)
-        atoms: List[bytes] = problem.atom_words_list(program.atoms)
-        out = problem.native().eval_program(
-            program.codes_bytes, program.num_instructions, atoms, program.outputs_bytes
-        )
-        row = problem.pw * 8
-        from_bytes = int.from_bytes
-        return [
-            from_bytes(out[offset : offset + row], "little")
-            for offset in range(0, len(out), row)
-        ]
 
 
 _BIGINT = BigintKernelBackend()

@@ -48,11 +48,6 @@ def words_to_int(words: Sequence[int]) -> int:
     return value
 
 
-def tail_mask_words(nbits: int, nwords: int) -> array:
-    """The all-ones mask over ``nbits`` bits, as ``nwords`` words."""
-    return int_to_words((1 << nbits) - 1, nwords)
-
-
 class WordReachability:
     """Incremental cycle detection over word-array reachability rows.
 

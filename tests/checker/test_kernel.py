@@ -148,9 +148,9 @@ def test_uncacheable_nodes_still_evaluate_correctly(monkeypatch):
 def test_atom_masks_are_cached_per_predicate():
     ix = IndexedExecution(TEST_A.execution())
     ix.po_edge_pairs(TSO)
-    cached = dict(ix._atom_masks)
+    cached = dict(ix._predicate_masks)
     ix.po_edge_pairs(TSO)
-    assert ix._atom_masks == cached  # second evaluation reuses every mask
+    assert ix._predicate_masks == cached  # second evaluation reuses every mask
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Differential validation of the word-array kernel backends.
 
 Every kernel backend (``bigint``, ``python``, and — when the C extension is
-built — ``native``) must be *bit-identical*: same po-pair masks, same
-verdicts, and the same :data:`~repro.checker.kernel.KernelWitness` (or
-both ``None``) for every execution and model.  The hypothesis suite here
-drives all available backends over random litmus tests and random
-parametric models and asserts exact equality, and the word-level tests pin
-the :class:`~repro.native.words.WordReachability` engine against the
-bigint :class:`~repro.checker.kernel.ReachabilityKernel` at the 64-bit
-word boundaries (n = 63, 64, 65) where packing bugs live.
+built — ``native``) must be *bit-identical*: same verdicts, and the same
+:data:`~repro.checker.kernel.KernelWitness` (or both ``None``) for every
+execution and model.  Backends differ only in the search (mask evaluation
+is shared; ``tests/checker`` pins it against the reference formula
+evaluator).  The hypothesis suite here drives all available backends over
+random litmus tests and random parametric models and asserts exact
+equality, and the word-level tests pin the
+:class:`~repro.native.words.WordReachability` engine against the bigint
+:class:`~repro.checker.kernel.ReachabilityKernel` at the 64-bit word
+boundaries (n = 63, 64, 65) where packing bugs live.
 
 The suite is deliberately runnable without the C extension — the native
 backend joins the differential automatically when importable, so the
@@ -21,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.checker.kernel import IndexedExecution, KernelSearch, ReachabilityKernel
-from repro.compile import compile_model
 from repro.native.backend import native_available, resolve_kernel
 from repro.native.problem import kernel_problem
 from repro.native.words import WORD_BITS, WordReachability, word_count
@@ -42,26 +43,8 @@ _SETTINGS = settings(
 
 
 # ----------------------------------------------------------------------
-# full-backend differential: masks, witnesses, verdicts
+# full-backend differential: witnesses, verdicts
 # ----------------------------------------------------------------------
-@_SETTINGS
-@given(test=small_litmus_tests(), model=parametric_models())
-def test_all_backends_compute_identical_masks(test, model):
-    memory_model = model.to_memory_model()
-    execution = test.execution()
-    compiled = compile_model(memory_model)
-    reference = None
-    for backend in BACKENDS:
-        # A fresh IndexedExecution per backend: no shared mask caches, so
-        # each backend's evaluator actually runs.
-        indexed = IndexedExecution(execution)
-        mask = backend.po_pair_mask(indexed, compiled)
-        if reference is None:
-            reference = mask
-        else:
-            assert mask == reference, backend.name
-
-
 @_SETTINGS
 @given(test=small_litmus_tests(), model=parametric_models())
 def test_all_backends_return_identical_witnesses(test, model):
@@ -204,26 +187,3 @@ def test_native_backend_reports_native():
         assert auto.name == os.environ["REPRO_KERNEL"]
     else:
         assert auto.name == "native"  # auto prefers the extension when built
-
-
-# ----------------------------------------------------------------------
-# batched C atom masks vs the Python per-node path
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not native_available(), reason="C extension not built")
-@_SETTINGS
-@given(test=small_litmus_tests(), model=parametric_models())
-def test_batched_atom_masks_match_python_path(test, model):
-    """`atom_words_list` (one C call for builtin atoms) must be bit-identical
-    to `atom_words` (per-node Python masks), cold and warm."""
-    from repro.native.flatprog import flat_program
-
-    compiled = compile_model(model.to_memory_model())
-    program = flat_program(compiled.root)
-    execution = test.execution()
-
-    reference_problem = kernel_problem(IndexedExecution(execution))
-    reference = [reference_problem.atom_words(node) for node in program.atoms]
-
-    problem = kernel_problem(IndexedExecution(execution))
-    assert problem.atom_words_list(program.atoms) == reference  # cold batch
-    assert problem.atom_words_list(program.atoms) == reference  # fully cached
