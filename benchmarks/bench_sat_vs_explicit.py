@@ -2,9 +2,8 @@
 
 The paper's tool calls MiniSat per (test, model) query and completes a model
 comparison "in a reasonable time (seconds)".  This benchmark compares our
-SAT backend (with and without CNF preprocessing) against the explicit
-enumeration backend on the nine contrasting tests, and times a whole
-model-vs-model comparison through the SAT backend.
+SAT backend against the explicit enumeration backend on the nine contrasting
+tests, and times a whole model-vs-model comparison through the SAT backend.
 """
 
 import pytest
@@ -43,20 +42,12 @@ def test_backend_sat_sweep(benchmark, expected_verdicts):
 
 
 @pytest.mark.benchmark(group="sat-vs-explicit")
-def test_backend_sat_with_preprocessing_sweep(benchmark, expected_verdicts):
-    verdicts = benchmark.pedantic(
-        lambda: _sweep(SatChecker(use_preprocessing=True)), rounds=3, iterations=1
-    )
-    assert verdicts == expected_verdicts
-
-
-@pytest.mark.benchmark(group="sat-vs-explicit")
 def test_backend_sat_model_comparison_runs_in_seconds(benchmark, suite_without_dependencies):
     """One full TSO-vs-IBM370 comparison over the 88 feasible dependency-free tests."""
     tests = suite_without_dependencies.tests()
 
     def compare():
-        comparator = ModelComparator(tests, checker=SatChecker())
+        comparator = ModelComparator(tests, "sat")
         return comparator.compare(TSO, IBM370)
 
     result = benchmark.pedantic(compare, rounds=1, iterations=1)

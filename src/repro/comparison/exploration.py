@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.comparison.compare import Relation, VerdictVector
+from repro.comparison.compare import EngineSpec, Relation, VerdictVector
 from repro.core.litmus import LitmusTest
 from repro.core.model import MemoryModel
 from repro.engine.engine import CheckEngine, EngineStats
@@ -151,7 +151,7 @@ class ExplorationResult:
 def explore_models(
     models: Sequence[MemoryModel],
     tests: Sequence[LitmusTest],
-    checker: Optional[object] = None,
+    checker: Optional[EngineSpec] = None,
     preferred_tests: Sequence[LitmusTest] = (),
     jobs: int = 1,
 ) -> ExplorationResult:
@@ -165,9 +165,10 @@ def explore_models(
     Args:
         models: the family to explore (e.g. the 36- or 90-model space).
         tests: the comparison suite (e.g. the template suite).
-        checker: admissibility backend — a backend name, a legacy checker
-            object, or a shared :class:`~repro.engine.engine.CheckEngine`;
-            explicit enumeration by default.
+        checker: admissibility backend — a backend name (``"explicit"``,
+            ``"enumeration"``, ``"sat"``) or a shared
+            :class:`~repro.engine.engine.CheckEngine`; the explicit backend
+            by default.
         preferred_tests: tests whose names should be preferred when labelling
             Hasse edges (the paper uses L1..L9).  They are appended to the
             comparison suite if not already present.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.comparison.compare import ModelComparator
+from repro.comparison.compare import EngineSpec, ModelComparator
 from repro.core.litmus import LitmusTest
 from repro.core.model import MemoryModel
 from repro.engine.engine import CheckEngine
@@ -57,7 +57,7 @@ def _distinguishable_pairs(
 def find_minimal_distinguishing_set(
     models: Sequence[MemoryModel],
     tests: Sequence[LitmusTest],
-    checker: Optional[object] = None,
+    checker: Optional[EngineSpec] = None,
     seed_tests: Sequence[LitmusTest] = (),
 ) -> DistinguishingSetResult:
     """Greedily select tests until every non-equivalent pair is distinguished.
@@ -97,7 +97,7 @@ def verify_distinguishing_set(
     models: Sequence[MemoryModel],
     candidate_tests: Sequence[LitmusTest],
     reference_tests: Sequence[LitmusTest],
-    checker: Optional[object] = None,
+    checker: Optional[EngineSpec] = None,
 ) -> DistinguishingSetResult:
     """Check whether ``candidate_tests`` distinguish every non-equivalent pair.
 

@@ -177,20 +177,15 @@ class EngineStats:
 
 _STAT_FIELDS = tuple(field.name for field in fields(EngineStats))
 
-#: Strategy names whose verdicts the digest-keyed cache may serve.  All
-#: shipped strategies are pure functions of (model IR, canonical test), so
-#: their verdicts agree; legacy checker wrappers are excluded because their
-#: semantics are whatever the wrapped object does.
-_CACHEABLE_STRATEGIES = frozenset(("explicit", "enumeration", "sat"))
-
 
 class CheckEngine:
     """Single entry point for batched admissibility checking.
 
     Args:
-        backend: ``"explicit"`` (default), ``"sat"``, a strategy instance, or
-            a legacy checker object (``ExplicitChecker``, ``SatChecker``,
-            ``ReferenceChecker``, ...).
+        backend: ``"explicit"`` (default), ``"enumeration"``, ``"sat"``, or
+            an instance of one of the three strategies of
+            :mod:`repro.engine.strategies`; anything else raises
+            :class:`TypeError`.
         jobs: number of worker processes for :meth:`verdict_matrix`; ``1``
             computes serially in-process.
         kernel: kernel backend for the explicit strategy — ``"auto"``
@@ -228,7 +223,6 @@ class CheckEngine:
         #: can hold it across a whole request for exact stats attribution
         self.lock = threading.RLock()
         self.verdict_cache = verdict_cache
-        self._cacheable = self.strategy.name in _CACHEABLE_STRATEGIES
         self.stats = EngineStats()
         if self.kernel is not None:
             self.stats.kernel_backend = self.kernel.name
@@ -254,7 +248,12 @@ class CheckEngine:
     def ensure(
         cls, checker: Optional[object] = None, jobs: int = 1, kernel: object = None
     ) -> "CheckEngine":
-        """Return ``checker`` if it already is an engine, else wrap it."""
+        """Return ``checker`` if it already is an engine, else build one.
+
+        ``checker`` is a :class:`CheckEngine`, a backend name or a strategy
+        instance (see :func:`~repro.engine.strategies.make_strategy`);
+        ``None`` means the explicit backend.
+        """
         if isinstance(checker, CheckEngine):
             return checker
         return cls(
@@ -367,7 +366,7 @@ class CheckEngine:
             faults.fire("engine.check", test=test.name, model=model.name)
         vcache = self.verdict_cache
         key = None
-        if vcache is not None and self._cacheable:
+        if vcache is not None:
             key = vcache.key_for(test, model)
             if key is not None:
                 verdict = vcache.get(key)
@@ -452,7 +451,7 @@ class CheckEngine:
             faults.fire("engine.check_column", test=test.name)
         vcache = self.verdict_cache
         keys: Optional[List[Optional[Tuple[str, str]]]] = None
-        if vcache is not None and self._cacheable:
+        if vcache is not None:
             test_digest = vcache.test_digest(test)
             if test_digest is not None:
                 keys = []
@@ -483,9 +482,9 @@ class CheckEngine:
                 strategy = self.strategy
                 stats = self.stats
                 # Strategies with a column fast path (the explicit kernel
-                # batches the whole column's masks through one combined
-                # program) take it; verdicts and counters are identical to
-                # the per-model loop.
+                # searches each distinct po mask of the column once) take
+                # it; verdicts are identical to the per-model loop, and so
+                # are the counters unless ``derive`` is set.
                 column_check = getattr(strategy, "check_column", None)
                 if column_check is not None:
                     column = column_check(

@@ -398,11 +398,13 @@ class ProfileIndex:
 # ----------------------------------------------------------------------
 # the partition checkpoint
 # ----------------------------------------------------------------------
-def _mask_bits(mask: int, width: int) -> str:
+def mask_to_bits(mask: int, width: int) -> str:
+    """A model bitmask as the on-disk bit string (bit ``i`` is character ``i``)."""
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(width))
 
 
-def _bits_mask(bits: str) -> int:
+def bits_to_mask(bits: str) -> int:
+    """The inverse of :func:`mask_to_bits`."""
     mask = 0
     for i, bit in enumerate(bits):
         if bit == "1":
@@ -502,7 +504,7 @@ class PartitionCheckpoint:
             "raw_tests": self.raw_tests,
             "profile_skips": self.profile_skips,
             "frontier_skips": self.frontier_skips,
-            "distinguished": [_mask_bits(mask, width) for mask in self.distinguished],
+            "distinguished": [mask_to_bits(mask, width) for mask in self.distinguished],
         }
         body["digest"] = _payload_digest(body)
         return body
@@ -558,7 +560,7 @@ class PartitionCheckpoint:
                 raw_tests=int(document["raw_tests"]),
                 profile_skips=int(document["profile_skips"]),
                 frontier_skips=int(document["frontier_skips"]),
-                distinguished=[_bits_mask(row) for row in bits],
+                distinguished=[bits_to_mask(row) for row in bits],
             )
         except (KeyError, TypeError, ValueError):
             return None

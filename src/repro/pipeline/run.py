@@ -56,6 +56,8 @@ from repro.pipeline.adaptive import (
     PartitionCheckpoint,
     ProfileIndex,
     audit_selected,
+    bits_to_mask,
+    mask_to_bits,
     profile_digest,
 )
 from repro.pipeline.canonical import CanonicalIndex, key_digest
@@ -255,18 +257,6 @@ def _shard_path(run_dir: str, shard_index: int) -> str:
     return os.path.join(run_dir, "shards", f"shard-{shard_index:05d}.jsonl")
 
 
-def _mask_to_bits(mask: int, width: int) -> str:
-    return "".join("1" if (mask >> i) & 1 else "0" for i in range(width))
-
-
-def _bits_to_mask(bits: str) -> int:
-    mask = 0
-    for i, bit in enumerate(bits):
-        if bit == "1":
-            mask |= 1 << i
-    return mask
-
-
 def _write_shard(
     run_dir: str,
     shard_index: int,
@@ -282,7 +272,7 @@ def _write_shard(
         for name, digest, mask in zip(names, digests, rows):
             handle.write(
                 json.dumps(
-                    {"test": name, "key": digest, "verdicts": _mask_to_bits(mask, num_models)}
+                    {"test": name, "key": digest, "verdicts": mask_to_bits(mask, num_models)}
                 )
                 + "\n"
             )
@@ -317,7 +307,7 @@ def _write_adaptive_shard(
                 record = {
                     "test": record["test"],
                     "key": record["key"],
-                    "verdicts": _mask_to_bits(rows[record["row"]], num_models),
+                    "verdicts": mask_to_bits(rows[record["row"]], num_models),
                 }
             handle.write(json.dumps(record) + "\n")
         handle.write(
@@ -392,7 +382,7 @@ def _load_shard(
             bits = row.get("verdicts")
             if row.get("key") != digest or not isinstance(bits, str) or len(bits) != num_models:
                 return None
-            rows.append(_bits_to_mask(bits))
+            rows.append(bits_to_mask(bits))
         return rows
     except (OSError, ValueError):
         return None
@@ -611,7 +601,7 @@ def _adaptive_shards(
                 {
                     "frontier": name,
                     "profile": digest,
-                    "groups": [_mask_to_bits(g, space.num_models) for g in groups],
+                    "groups": [mask_to_bits(g, space.num_models) for g in groups],
                 }
             )
             if audit_selected(digest, name, config.audit_rate):

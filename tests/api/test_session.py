@@ -106,6 +106,24 @@ def test_repeated_compare_requests_reuse_verdict_vectors():
     assert first == second
 
 
+def test_compare_cache_tells_apart_inline_models_sharing_a_name():
+    from repro.api.serialize import model_to_json
+    from repro.core.catalog import SC, TSO
+
+    session = Session()
+    as_sc = model_to_json(SC.renamed("X"))
+    as_tso = model_to_json(TSO.renamed("X"))
+    first = session.run(CompareRequest(first=as_sc, second="SC", suite="no_deps"))
+    assert first.relation is Relation.EQUIVALENT
+    # Same name, different formula, same long-lived comparator: the cached
+    # verdict vector of the first "X" must not answer for the second.
+    second = session.run(CompareRequest(first=as_tso, second="SC", suite="no_deps"))
+    fresh = Session().run(CompareRequest(first=as_tso, second="SC", suite="no_deps"))
+    assert second == fresh
+    assert second.relation is Relation.WEAKER
+    assert {"L7", "L8"} <= set(second.only_first)
+
+
 # ----------------------------------------------------------------------
 # batches
 # ----------------------------------------------------------------------

@@ -110,33 +110,24 @@ def test_comparator_accepts_engine_instances_and_backend_names():
     assert named.engine.strategy.name == "sat"
 
 
-def test_comparator_checker_keyword_is_deprecated_but_works():
+def test_comparator_rejects_raw_checker_objects():
+    from repro.checker.explicit import ExplicitChecker
     from repro.checker.sat_checker import SatChecker
 
-    with pytest.warns(DeprecationWarning, match="checker=.*deprecated"):
-        comparator = ModelComparator([TEST_A, L_TESTS[6]], checker=SatChecker())
-    assert comparator.compare(TSO, SC).relation is Relation.WEAKER
-
-
-def test_comparator_raw_checker_positional_is_deprecated_but_works():
-    from repro.checker.explicit import ExplicitChecker
-
-    with pytest.warns(DeprecationWarning, match="raw checker object"):
-        comparator = ModelComparator([TEST_A], ExplicitChecker())
-    assert comparator.compare(TSO, SC).relation is Relation.WEAKER
+    with pytest.raises(TypeError):
+        ModelComparator([TEST_A], ExplicitChecker())
+    with pytest.raises(TypeError):
+        compare_models(TSO, SC, [TEST_A], SatChecker())
 
 
 def test_comparator_rejects_engine_and_checker_together():
+    # ``engine=`` is the only way to name the backend: the retired
+    # ``checker=`` keyword is an unknown argument, alone or with ``engine``.
     with pytest.raises(TypeError):
         ModelComparator([TEST_A], "explicit", checker="sat")
-
-
-def test_module_helpers_keep_deprecated_checker_keyword():
-    from repro.checker.sat_checker import SatChecker
-
-    with pytest.warns(DeprecationWarning):
-        result = compare_models(TSO, SC, [TEST_A], checker=SatChecker())
-    assert result.relation is Relation.WEAKER
-    with pytest.warns(DeprecationWarning):
-        vector = verdict_vector(SC, [TEST_A], checker=SatChecker())
-    assert vector == (False,)
+    with pytest.raises(TypeError):
+        ModelComparator([TEST_A], checker="sat")
+    with pytest.raises(TypeError):
+        compare_models(TSO, SC, [TEST_A], checker="sat")
+    with pytest.raises(TypeError):
+        verdict_vector(SC, [TEST_A], checker="sat")

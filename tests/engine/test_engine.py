@@ -14,7 +14,6 @@ from repro.engine import (
     EnumerationStrategy,
     ExplicitStrategy,
     IncrementalSatStrategy,
-    LegacyCheckerStrategy,
     make_strategy,
 )
 from repro.generation.named_tests import L_TESTS, TEST_A
@@ -41,12 +40,14 @@ def test_make_strategy_resolves_names_and_checkers():
     assert isinstance(make_strategy("explicit"), ExplicitStrategy)
     assert isinstance(make_strategy("enumeration"), EnumerationStrategy)
     assert isinstance(make_strategy("sat"), IncrementalSatStrategy)
-    assert isinstance(make_strategy(ExplicitChecker()), ExplicitStrategy)
-    assert isinstance(make_strategy(EnumerationChecker()), EnumerationStrategy)
-    assert isinstance(make_strategy(SatChecker()), IncrementalSatStrategy)
-    # A preprocessing SatChecker keeps its own per-check pipeline.
-    assert isinstance(make_strategy(SatChecker(use_preprocessing=True)), LegacyCheckerStrategy)
-    assert isinstance(make_strategy(ReferenceChecker()), LegacyCheckerStrategy)
+    strategy = ExplicitStrategy(kernel="bigint")
+    assert make_strategy(strategy) is strategy
+    # The standalone checkers are witness producers, not engine backends.
+    for checker in (ExplicitChecker(), EnumerationChecker(), SatChecker(), ReferenceChecker()):
+        with pytest.raises(TypeError):
+            make_strategy(checker)
+        with pytest.raises(TypeError):
+            CheckEngine(checker)
     with pytest.raises(ValueError):
         make_strategy("bogus")
     with pytest.raises(TypeError):
@@ -75,8 +76,12 @@ def test_matrix_matches_legacy_checkers(backend, legacy_matrix):
 
 
 def test_matrix_agrees_with_reference_checker_strategy(legacy_matrix):
-    engine = CheckEngine(ReferenceChecker(max_events=9))
-    assert engine.verdict_matrix(MODELS, TESTS) == legacy_matrix
+    reference = ReferenceChecker(max_events=9)
+    matrix = {
+        model.name: tuple(reference.check(test, model).allowed for test in TESTS)
+        for model in MODELS
+    }
+    assert matrix == legacy_matrix
 
 
 def test_parallel_matrix_matches_serial(legacy_matrix):

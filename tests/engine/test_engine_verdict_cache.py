@@ -112,18 +112,3 @@ def test_stats_as_dict_matches_dataclass_fields():
 
     engine = CheckEngine()
     assert engine.stats.as_dict() == dataclasses.asdict(engine.stats)
-
-
-def test_opaque_legacy_checkers_skip_the_cache():
-    from repro.checker.result import CheckResult
-
-    class HomebrewChecker:
-        # No recognised strategy name: its semantics are whatever it does,
-        # so its verdicts must never enter (or come from) the shared cache.
-        def check(self, test, model, test_name=None):
-            return CheckResult(allowed=True, test_name="", model_name="")
-
-    engine = CheckEngine(backend=HomebrewChecker(), verdict_cache=VerdictCache())
-    assert not engine._cacheable
-    engine.check(L_TESTS[0], named_models()["TSO"])
-    assert engine.stats.verdict_cache_misses == 0
