@@ -121,13 +121,29 @@ def test_comparator_rejects_raw_checker_objects():
 
 
 def test_comparator_rejects_engine_and_checker_together():
-    # ``engine=`` is the only way to name the backend: the retired
-    # ``checker=`` keyword is an unknown argument, alone or with ``engine``.
     with pytest.raises(TypeError):
         ModelComparator([TEST_A], "explicit", checker="sat")
+
+
+def test_comparator_rejects_checker_keyword():
+    # ``engine=`` is the only way to name the backend: the retired
+    # ``checker=`` keyword is an unknown argument.
+    from repro.checker.sat_checker import SatChecker
+
     with pytest.raises(TypeError):
         ModelComparator([TEST_A], checker="sat")
     with pytest.raises(TypeError):
+        ModelComparator([TEST_A, L_TESTS[6]], checker=SatChecker())
+
+
+def test_module_helpers_reject_checker_keyword():
+    from repro.checker.sat_checker import SatChecker
+
+    with pytest.raises(TypeError):
         compare_models(TSO, SC, [TEST_A], checker="sat")
     with pytest.raises(TypeError):
+        compare_models(TSO, SC, [TEST_A], checker=SatChecker())
+    with pytest.raises(TypeError):
         verdict_vector(SC, [TEST_A], checker="sat")
+    with pytest.raises(TypeError):
+        verdict_vector(SC, [TEST_A], checker=SatChecker())
